@@ -8,16 +8,32 @@ small matrices:
     B_sum = sum_k B1[k] (x) B2[k]      (r  x w2)
 
 with a1*a2 = w1, r1*r2 = r, b1*b2 = w2.  Forward and backward never
-materialize the update; every term is applied through the two-factor
-vec identity (see ``kron_core``).
+materialize the update.  They run over a batch of inputs held as the
+rows of an (n, w2) array; a 1-D input is a batch of one and gets 1-D
+results back.  Writing v~ for a row-major reshape (x~ = x.reshape(b1, b2),
+u~ = u.reshape(r1, r2)), the vec identity (see ``kron_core``) becomes
 
-Gradients are hand-derived.  With h = A_sum^T g and the column-major
-unvec shorthands G = unvec(g), U = unvec(B_sum x), H = unvec(h),
-X = unvec(x):
+    (B_sum x)~ = sum_k B1[k] x~ B2[k]^T          (r1 x r2)
 
-    dA1[k] = alpha * G^T A2[k] U        dA2[k] = alpha * G A1[k] U^T
-    dB1[k] = alpha * H^T B2[k] X        dB2[k] = alpha * H B1[k] X^T
-    dx     = W^T g + alpha * B_sum^T h
+so each side is one GEMM against the stacked second factors followed by
+one batched matmul against the side-by-side first factors, whose
+contraction also runs over k (``_kron_sum``).
+
+Gradients are hand-derived.  For a batch X (n x w2) with output
+gradients G = dL/dY (n x w1), let U = rows of B_sum x and H = rows of
+A_sum^T g.  The dense gradients of the two sums are the batch sums
+
+    dA_sum = alpha * G^T U    (w1 x r)      dB_sum = alpha * H^T X    (r x w2)
+
+and, with the column-major unvec shorthands G_i = unvec(g_i),
+U_i = unvec(u_i), H_i = unvec(h_i), X_i = unvec(x_i), the factor
+gradients are their projections onto each Kronecker term:
+
+    dA1[k] = alpha * sum_i G_i^T A2[k] U_i
+    dA2[k] = alpha * sum_i G_i A1[k] U_i^T
+    dB1[k] = alpha * sum_i H_i^T B2[k] X_i
+    dB2[k] = alpha * sum_i H_i B1[k] X_i^T
+    dx_i   = W^T g_i + alpha * B_sum^T h_i    (one row per sample)
 
 A plain low-rank adapter (``LoraLayer``) with the same forward contract
 is included as the comparison baseline.
@@ -28,14 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import (
-    Matrix,
-    Vector,
-    _apply2,
-    as_matrix,
-    as_vector,
-    kron,
-)
+from .kron_core import Matrix, as_matrix, kron
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -149,13 +158,14 @@ class LoraLayer:
 
 @dataclass(eq=False)
 class GradientBundle:
-    """Gradients of a scalar loss w.r.t. every factor family and the input."""
+    """Gradients of a scalar loss w.r.t. every factor family (summed over
+    the batch) and the input (one row per sample)."""
 
     dA1: np.ndarray
     dA2: np.ndarray
     dB1: np.ndarray
     dB2: np.ndarray
-    dx: Vector
+    dx: np.ndarray
 
 
 def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
@@ -181,92 +191,134 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
     )
 
 
-def forward(layer: LsrAdaptLayer, x) -> Vector:
-    """y = W x + alpha * A_sum (B_sum x), term by term, matrix-free."""
-    x = as_vector(x, "x")
+def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
+    """Validated (n, width) float64 batch, and whether x was a single
+    1-D vector (a batch of one)."""
+    b = np.ascontiguousarray(x, dtype=np.float64)
+    single = b.ndim == 1
+    if single:
+        if b.size != width:
+            raise ValueError(f"{name} has length {b.size}, expected {width}")
+        b = b.reshape(1, width)
+    elif b.ndim != 2 or b.shape[1] != width:
+        raise ValueError(f"{name} has shape {b.shape}, expected (n, {width})")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return b, single
+
+
+def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sum_k P[k] @ Z[i] @ Q[k]^T for every i.
+
+    P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
+    (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
+    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T;
+    the side-by-side P then contracts over (k, row) in one batched
+    matmul, so the sum over k needs no pass of its own.
+    """
+    s, pr, pc = P.shape
+    qr, qc = Q.shape[1:]
+    n = Z.shape[0]
+    T = Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T
+    T = T.reshape(n, pc, s, qr).transpose(0, 2, 1, 3).reshape(n, s * pc, qr)
+    return P.transpose(1, 0, 2).reshape(pr, s * pc) @ T
+
+
+def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
+    """y = W x + alpha * A_sum (B_sum x) for every row of x, matrix-free.
+
+    x is (n, w2) or a single vector of length w2; the result is (n, w1)
+    or a vector of length w1 to match.
+    """
+    X, single = _as_batch(x, layer.plan.w2, "x")
+    Y = (X[0] if single else X) @ layer.W.T
+    U = _apply_b(layer, X)
+    if layer.alpha != 0.0 and U.any():
+        Y += layer.alpha * _apply_a(layer, U).reshape(Y.shape)
+    return Y
+
+
+def _apply_b(layer: LsrAdaptLayer, X: np.ndarray) -> np.ndarray:
+    """Rows of B_sum x: (n, w2) -> (n, r)."""
     p = layer.plan
-    if x.size != p.w2:
-        raise ValueError(f"x has length {x.size}, expected {p.w2}")
-    base = layer.W @ x
-    mid = _apply_b(layer, x)
-    if layer.alpha == 0.0 or not mid.any():
-        return base
-    out = _apply_a(layer, mid)
-    return base + layer.alpha * out
+    n = X.shape[0]
+    return _kron_sum(layer.B1, layer.B2,
+                     X.reshape(n, p.b1, p.b2)).reshape(n, p.r)
 
 
-def _apply_b(layer: LsrAdaptLayer, x) -> Vector:
-    mid = _apply2(layer.B1[0], layer.B2[0], x)
-    for k in range(1, layer.s):
-        mid = mid + _apply2(layer.B1[k], layer.B2[k], x)
-    return mid
+def _apply_a(layer: LsrAdaptLayer, U: np.ndarray) -> np.ndarray:
+    """Rows of A_sum u: (n, r) -> (n, w1)."""
+    p = layer.plan
+    n = U.shape[0]
+    return _kron_sum(layer.A1, layer.A2,
+                     U.reshape(n, p.r1, p.r2)).reshape(n, p.w1)
 
 
-def _apply_a(layer: LsrAdaptLayer, mid) -> Vector:
-    out = _apply2(layer.A1[0], layer.A2[0], mid)
-    for k in range(1, layer.s):
-        out = out + _apply2(layer.A1[k], layer.A2[k], mid)
-    return out
-
-
-def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
-    """Dense w1 x w2 update (without alpha): A_sum @ B_sum."""
+def factor_sums(layer: LsrAdaptLayer) -> tuple[Matrix, Matrix]:
+    """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
     p = layer.plan
     a_sum = np.zeros((p.w1, p.r))
     b_sum = np.zeros((p.r, p.w2))
     for k in range(layer.s):
         a_sum += kron(layer.A1[k], layer.A2[k])
         b_sum += kron(layer.B1[k], layer.B2[k])
+    return a_sum, b_sum
+
+
+def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
+    """Dense w1 x w2 update (without alpha): A_sum @ B_sum."""
+    a_sum, b_sum = factor_sums(layer)
     return a_sum @ b_sum
+
+
+def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
+    """Gradients of <D, sum_k F1[k] (x) F2[k]> with respect to both
+    stacks, given the dense gradient D of the sum.  Entry [(i, a), (j, b)]
+    of F1[k] (x) F2[k] is F1[k][i, j] * F2[k][a, b], so each factor's
+    gradient contracts the (m1, m2, c1, c2) view of D with the other."""
+    s, m1, c1 = F1.shape
+    m2, c2 = F2.shape[1:]
+    D4 = D.reshape(m1, m2, c1, c2)
+    d1 = np.empty_like(F1)
+    d2 = np.empty_like(F2)
+    for k in range(s):
+        d1[k] = np.tensordot(D4, F2[k], axes=([1, 3], [0, 1]))
+        d2[k] = np.tensordot(D4, F1[k], axes=([0, 2], [0, 1]))
+    return d1, d2
 
 
 def backward(layer: LsrAdaptLayer, x, g) -> GradientBundle:
     """Exact gradients of L w.r.t. all factors and x, given g = dL/dy.
 
-    See the module docstring for the derivation; everything is evaluated
-    matrix-free at the cost of a forward pass plus one transposed pass.
+    x is (n, w2) and g is (n, w1), or single vectors.  The factor
+    gradients are summed over the batch; dx has one row per sample (a
+    vector for vector input).  See the module docstring for the
+    derivation; everything is evaluated matrix-free.
     """
-    x = as_vector(x, "x")
-    g = as_vector(g, "g")
     p = layer.plan
-    if x.size != p.w2:
-        raise ValueError(f"x has length {x.size}, expected {p.w2}")
-    if g.size != p.w1:
-        raise ValueError(f"g has length {g.size}, expected {p.w1}")
+    X, single = _as_batch(x, p.w2, "x")
+    G, _ = _as_batch(g, p.w1, "g")
+    n = X.shape[0]
+    if G.shape[0] != n:
+        raise ValueError(f"x has {n} rows but g has {G.shape[0]}")
     alpha = layer.alpha
+    dx = G @ layer.W
     if alpha == 0.0:
-        return GradientBundle(
-            dA1=np.zeros_like(layer.A1), dA2=np.zeros_like(layer.A2),
-            dB1=np.zeros_like(layer.B1), dB2=np.zeros_like(layer.B2),
-            dx=layer.W.T @ g)
-
-    mid = _apply_b(layer, x)                       # B_sum x, length r
-    h = _apply2(layer.A1[0].T, layer.A2[0].T, g)   # A_sum^T g
-    for k in range(1, layer.s):
-        h = h + _apply2(layer.A1[k].T, layer.A2[k].T, g)
-
-    G = g.reshape((p.a2, p.a1), order="F")
-    U = np.ascontiguousarray(mid).reshape((p.r2, p.r1), order="F")
-    H = np.ascontiguousarray(h).reshape((p.r2, p.r1), order="F")
-    X = x.reshape((p.b2, p.b1), order="F")
-
-    dA1 = np.empty_like(layer.A1)
-    dA2 = np.empty_like(layer.A2)
-    dB1 = np.empty_like(layer.B1)
-    dB2 = np.empty_like(layer.B2)
-    Gt_ = G.T
-    Ht_ = H.T
-    for k in range(layer.s):
-        dA1[k] = alpha * (Gt_ @ layer.A2[k] @ U)
-        dA2[k] = alpha * (G @ layer.A1[k] @ U.T)
-        dB1[k] = alpha * (Ht_ @ layer.B2[k] @ X)
-        dB2[k] = alpha * (H @ layer.B1[k] @ X.T)
-
-    hflat = np.ascontiguousarray(h)
-    dx = layer.W.T @ g
-    for k in range(layer.s):
-        dx += alpha * _apply2(layer.B1[k].T, layer.B2[k].T, hflat)
-    return GradientBundle(dA1=dA1, dA2=dA2, dB1=dB1, dB2=dB2, dx=dx)
+        dA1, dA2 = np.zeros_like(layer.A1), np.zeros_like(layer.A2)
+        dB1, dB2 = np.zeros_like(layer.B1), np.zeros_like(layer.B2)
+    else:
+        U = _apply_b(layer, X)
+        # rows of A_sum^T g and B_sum^T h: the same kernel on the
+        # factor-wise transposed stacks
+        H = _kron_sum(layer.A1.transpose(0, 2, 1), layer.A2.transpose(0, 2, 1),
+                      G.reshape(n, p.a1, p.a2)).reshape(n, p.r)
+        dA1, dA2 = _project(alpha * (G.T @ U), layer.A1, layer.A2)
+        dB1, dB2 = _project(alpha * (H.T @ X), layer.B1, layer.B2)
+        dx += alpha * _kron_sum(
+            layer.B1.transpose(0, 2, 1), layer.B2.transpose(0, 2, 1),
+            H.reshape(n, p.r1, p.r2)).reshape(n, p.w2)
+    return GradientBundle(dA1=dA1, dA2=dA2, dB1=dB1, dB2=dB2,
+                          dx=dx.reshape(-1) if single else dx)
 
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
@@ -291,29 +343,29 @@ def lora_init(W, r: int, alpha: float = DEFAULT_ALPHA,
                      B=np.zeros((r, w2)))
 
 
-def lora_forward(layer: LoraLayer, x) -> Vector:
-    x = as_vector(x, "x")
-    if x.size != layer.W.shape[1]:
-        raise ValueError(f"x has length {x.size}, expected {layer.W.shape[1]}")
-    base = layer.W @ x
-    mid = layer.B @ x
-    if layer.alpha == 0.0 or not mid.any():
-        return base
-    return base + layer.alpha * (layer.A @ mid)
+def lora_forward(layer: LoraLayer, x) -> np.ndarray:
+    """y = W x + alpha * A (B x) for every row of x (or one vector)."""
+    X, single = _as_batch(x, layer.W.shape[1], "x")
+    Y = (X[0] if single else X) @ layer.W.T
+    mid = X @ layer.B.T
+    if layer.alpha != 0.0 and mid.any():
+        Y += layer.alpha * (mid @ layer.A.T).reshape(Y.shape)
+    return Y
 
 
 def lora_backward(layer: LoraLayer, x, g):
-    """Gradients (dA, dB, dx) for the baseline forward map."""
-    x = as_vector(x, "x")
-    g = as_vector(g, "g")
-    if x.size != layer.W.shape[1] or g.size != layer.W.shape[0]:
-        raise ValueError("x/g length mismatch with W")
-    mid = layer.B @ x
-    at_g = layer.A.T @ g
-    dA = layer.alpha * np.outer(g, mid)
-    dB = layer.alpha * np.outer(at_g, x)
-    dx = layer.W.T @ g + layer.alpha * (layer.B.T @ at_g)
-    return dA, dB, dx
+    """Gradients (dA, dB, dx) for the baseline forward map: dA and dB
+    summed over the rows of x and g, dx one row per sample."""
+    X, single = _as_batch(x, layer.W.shape[1], "x")
+    G, _ = _as_batch(g, layer.W.shape[0], "g")
+    if G.shape[0] != X.shape[0]:
+        raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
+    mid = X @ layer.B.T
+    at_g = G @ layer.A
+    dA = layer.alpha * (G.T @ mid)
+    dB = layer.alpha * (at_g.T @ X)
+    dx = G @ layer.W + layer.alpha * (at_g @ layer.B)
+    return dA, dB, dx.reshape(-1) if single else dx
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
 """
 
 import argparse
+import functools
 import os
 import statistics
 import time
@@ -251,7 +252,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state on the parser, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="lsradapt",
         description="Kronecker-sum matrix representations and the matching "

@@ -110,21 +110,26 @@ def read_separated(manifest_path) -> SeparatedMatrix:
     if not lines or lines[0].split() != ["lsr-manifest", str(VERSION)]:
         raise ValueError(f"{manifest_path}: not a supported manifest")
 
-    def expect(i, key):
+    def expect(i, key, count):
+        """The ``count`` values of the line at index i, which must start
+        with ``key``."""
+        if i >= len(lines):
+            raise ValueError(f"{manifest_path}: truncated, expected '{key}' "
+                             f"on line {i + 1}")
         parts = lines[i].split()
-        if parts[0] != key:
-            raise ValueError(f"{manifest_path}: expected '{key}' on line "
-                             f"{i + 1}, got {lines[i]!r}")
+        if parts[0] != key or len(parts) != count + 1:
+            raise ValueError(f"{manifest_path}: expected '{key}' and {count} "
+                             f"value(s) on line {i + 1}, got {lines[i]!r}")
         return parts[1:]
 
-    rows, cols = (int(v) for v in expect(1, "shape"))
-    n_terms = int(expect(2, "terms")[0])
+    rows, cols = (int(v) for v in expect(1, "shape", 2))
+    n_terms = int(expect(2, "terms", 1)[0])
     base = manifest_path.parent
     terms = []
     i = 3
     for k in range(n_terms):
-        expect(i, "term")
-        weight = float(expect(i + 1, "weight")[0])
+        expect(i, "term", 1)
+        weight = float(expect(i + 1, "weight", 1)[0])
         i += 2
         factors = []
         while i < len(lines) and lines[i].startswith("factor "):

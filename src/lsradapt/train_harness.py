@@ -29,6 +29,9 @@ from .adapter import LoraLayer, LsrAdaptLayer, ShapePlan
 from .kron_core import Matrix, Shape, kron
 from .rng import rng_stream
 
+# rows of the update formed at a time by recovery_error
+_RECOVERY_ROWS = 64
+
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
@@ -207,27 +210,32 @@ def trainable_param_count(layer) -> int:
                                      layer.r)
 
 
-def effective_delta(layer) -> Matrix:
-    """The update the trained layer actually adds to W (alpha included)."""
+def _update_factors(layer) -> tuple[Matrix, Matrix]:
+    """Dense factors (A, B) of the update A @ B, before alpha."""
     if isinstance(layer, LsrAdaptLayer):
-        return layer.alpha * adapter.materialize_delta(layer)
-    return layer.alpha * (layer.A @ layer.B)
+        return adapter.factor_sums(layer)
+    return layer.A, layer.B
 
 
 def recovery_error(layer, task: SyntheticTask) -> float:
+    """||alpha * A @ B - delta_star||_F / ||delta_star||_F, accumulated over
+    blocks of _RECOVERY_ROWS rows so that no w1 x w2 temporary is built."""
     denom = np.linalg.norm(task.delta_star)
     if denom == 0.0:
         return float("nan")
-    return float(np.linalg.norm(effective_delta(layer) - task.delta_star)
-                 / denom)
+    A, B = _update_factors(layer)
+    A = layer.alpha * A
+    total = 0.0
+    for i in range(0, A.shape[0], _RECOVERY_ROWS):
+        block = A[i:i + _RECOVERY_ROWS] @ B
+        block -= task.delta_star[i:i + _RECOVERY_ROWS]
+        total += float(np.vdot(block, block))
+    return math.sqrt(total) / float(denom)
 
 
 def _dataset_loss(layer, task: SyntheticTask) -> float:
-    total = 0.0
-    for x, t in zip(task.inputs, task.targets):
-        resid = _forward(layer, x) - t
-        total += 0.5 * float(resid @ resid)
-    return total / task.n_samples
+    resid = _forward(layer, task.inputs) - task.targets
+    return 0.5 * float(np.vdot(resid, resid)) / task.n_samples
 
 
 class _Optimizer:
@@ -288,7 +296,8 @@ class _BatchSampler:
 def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     """Minimize mean squared error over the adapter parameters (W frozen).
 
-    The per-batch loss is mean_i 0.5 * ||forward(x_i) - t_i||^2; the loss
+    The per-batch loss is mean_i 0.5 * ||forward(x_i) - t_i||^2; each step
+    makes one batched forward and one batched backward call.  The loss
     curve records the full-dataset value of the same quantity, at step 0
     and roughly every steps/100 steps thereafter.
     """
@@ -305,26 +314,14 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     loss_curve = [_dataset_loss(layer, task)]
     for step in range(config.steps):
         idx = sampler.next()
-        grads = None
-        batch_loss = 0.0
-        for i in idx:
-            x = task.inputs[i]
-            resid = _forward(layer, x) - task.targets[i]
-            sample_loss = 0.5 * float(resid @ resid)
-            if not math.isfinite(sample_loss):
-                raise DivergenceError(step)
-            batch_loss += sample_loss
-            g = _grads(layer, x, resid)
-            if grads is None:
-                grads = g
-            else:
-                for k in grads:
-                    grads[k] += g[k]
         scale = 1.0 / len(idx)
-        if not math.isfinite(batch_loss * scale):
+        x = task.inputs[idx]
+        resid = _forward(layer, x) - task.targets[idx]
+        if not math.isfinite(float(np.vdot(resid, resid))):
             raise DivergenceError(step)
-        for k in grads:
-            grads[k] *= scale
+        grads = _grads(layer, x, resid)
+        for g in grads.values():
+            g *= scale
         opt.step(params, grads)
         if (step + 1) % log_every == 0 or step == config.steps - 1:
             loss = _dataset_loss(layer, task)

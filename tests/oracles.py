@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own code paths: the Kronecker
 oracle is a naive quadruple loop, the SVD oracle is a one-sided Jacobi
-iteration, and gradients come from central finite differences.
+iteration, gradients come from central finite differences, and the
+training reference runs Adam on materialized update matrices.  Nothing
+here imports the library.
 """
 
 import math
+import zlib
 
 import numpy as np
 
@@ -88,3 +91,107 @@ def rel_err(got, want):
     ref = np.linalg.norm(want)
     diff = np.linalg.norm(got - want)
     return diff / ref if ref > 0 else diff
+
+
+def _stream(seed, name):
+    """The documented seeding scheme: a Philox generator keyed by the seed
+    and the crc32 of the substream name."""
+    ss = np.random.SeedSequence(entropy=int(seed),
+                                spawn_key=(zlib.crc32(name.encode("utf-8")),))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _split(n):
+    """Most balanced factor pair (larger first)."""
+    d = math.isqrt(n)
+    while d > 1 and n % d:
+        d -= 1
+    return n // d, d
+
+
+def _kron_sum(first, second):
+    return sum(np.kron(first[k], second[k]) for k in range(len(first)))
+
+
+def _kron_sum_grads(D, first, second):
+    """Gradients of <D, sum_k first[k] (x) second[k]> w.r.t. both stacks."""
+    _, p, q = first.shape
+    _, u, v = second.shape
+    blocks = D.reshape(p, u, q, v)
+    return (np.einsum("iajb,kab->kij", blocks, second),
+            np.einsum("iajb,kij->kab", blocks, first))
+
+
+def dense_adam_recovery(kind, w1, w2, r, s, plant_terms, n_samples, steps,
+                        batch, lr, seed, alpha=1.0):
+    """Recovery error after ``steps`` Adam steps (beta 0.9/0.999, eps 1e-8)
+    on a noise-free product-of-Kronecker-sums task whose plant has inner
+    rank r and ``plant_terms`` terms.  ``kind`` is "lsr" (the factored
+    adapter with s terms) or "lora" (a rank-r baseline); both start from
+    their standard init and all seeds are ``seed``.  Every step
+    materializes the update and contracts the factor gradients out of
+    the dense gradients."""
+    a1, a2 = _split(w1)
+    b1, b2 = _split(w2)
+    r1, r2 = _split(r)
+    W = _stream(seed, "task-base").normal(size=(w1, w2))
+    g = _stream(seed, "task-plant")
+    a_sum = np.zeros((w1, r))
+    b_sum = np.zeros((r, w2))
+    for _ in range(plant_terms):
+        a_sum += np.kron(g.normal(size=(a1, r1)), g.normal(size=(a2, r2)))
+        b_sum += np.kron(g.normal(size=(r1, b1)), g.normal(size=(r2, b2)))
+    delta = a_sum @ b_sum
+    delta = delta / np.linalg.norm(delta)
+    X = _stream(seed, "task-inputs").normal(size=(n_samples, w2))
+    T = X @ (W + delta).T
+
+    if kind == "lsr":
+        g = _stream(seed, "adapter-init")
+        std = np.sqrt(1.0 / w2)
+        P = {"A1": g.normal(0.0, std, size=(s, a1, r1)),
+             "A2": g.normal(0.0, std, size=(s, a2, r2)),
+             "B1": g.normal(0.0, np.sqrt(1.0 / r), size=(s, r1, b1)),
+             "B2": np.zeros((s, r2, b2))}
+    else:
+        g = _stream(seed, "lora-init")
+        P = {"A": g.normal(0.0, np.sqrt(1.0 / w2), size=(w1, r)),
+             "B": np.zeros((r, w2))}
+
+    def factors():
+        if kind == "lsr":
+            return _kron_sum(P["A1"], P["A2"]), _kron_sum(P["B1"], P["B2"])
+        return P["A"], P["B"]
+
+    shuffle = _stream(seed, "shuffle")
+    order = shuffle.permutation(n_samples)
+    pos = 0
+    m = {k: np.zeros_like(v) for k, v in P.items()}
+    v2 = {k: np.zeros_like(v) for k, v in P.items()}
+    for t in range(1, steps + 1):
+        idx = []
+        while len(idx) < batch:
+            if pos == n_samples:
+                order = shuffle.permutation(n_samples)
+                pos = 0
+            take = min(batch - len(idx), n_samples - pos)
+            idx.extend(order[pos:pos + take])
+            pos += take
+        A, B = factors()
+        xb = X[idx]
+        resid = xb @ (W + alpha * A @ B).T - T[idx]
+        gA = alpha * resid.T @ (xb @ B.T) / batch
+        gB = alpha * (resid @ A).T @ xb / batch
+        if kind == "lsr":
+            dA1, dA2 = _kron_sum_grads(gA, P["A1"], P["A2"])
+            dB1, dB2 = _kron_sum_grads(gB, P["B1"], P["B2"])
+            grads = {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}
+        else:
+            grads = {"A": gA, "B": gB}
+        for k in P:
+            m[k] = 0.9 * m[k] + 0.1 * grads[k]
+            v2[k] = 0.999 * v2[k] + 0.001 * grads[k] ** 2
+            P[k] = P[k] - lr * (m[k] / (1.0 - 0.9**t)) / (
+                np.sqrt(v2[k] / (1.0 - 0.999**t)) + 1e-8)
+    A, B = factors()
+    return float(np.linalg.norm(alpha * A @ B - delta) / np.linalg.norm(delta))

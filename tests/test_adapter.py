@@ -308,3 +308,118 @@ def test_forward_equivalence_sweep():
         x = g.normal(size=w2)
         want = (layer.W + layer.alpha * materialize_delta(layer)) @ x
         assert rel_err(forward(layer, x), want) <= 1e-10
+
+
+# (w1, w2, r, s): s = 1, r = 1, prime dims (7 x 1 and 13 x 1 splits), and
+# a general rectangular case
+KERNEL_SHAPES = [(12, 8, 4, 1), (10, 6, 1, 3), (7, 13, 2, 2), (24, 18, 6, 4)]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_forward_matches_dense(self, shape, n):
+        g = np.random.default_rng(81)
+        layer = random_layer(g, *shape, alpha=1.3)
+        X = g.normal(size=(n, shape[1]))
+        want = X @ (layer.W + layer.alpha * materialize_delta(layer)).T
+        got = forward(layer, X)
+        assert got.shape == (n, shape[0])
+        for row, ref in zip(got, want):
+            assert rel_err(row, ref) <= 1e-10
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_backward_is_sum_of_vector_calls(self, shape):
+        g = np.random.default_rng(82)
+        layer = random_layer(g, *shape, alpha=0.8)
+        X = g.normal(size=(7, shape[1]))
+        G = g.normal(size=(7, shape[0]))
+        batch = backward(layer, X, G)
+        singles = [backward(layer, x, gv) for x, gv in zip(X, G)]
+        for name in ("dA1", "dA2", "dB1", "dB2"):
+            want = sum(getattr(b, name) for b in singles)
+            assert rel_err(getattr(batch, name), want) <= 1e-12, name
+        assert batch.dx.shape == X.shape
+        for row, single in zip(batch.dx, singles):
+            assert rel_err(row, single.dx) <= 1e-12
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_backward_matches_finite_differences(self, shape):
+        g = np.random.default_rng(83)
+        layer = random_layer(g, *shape, alpha=1.1)
+        X = g.normal(size=(7, shape[1]))
+        C = g.normal(size=(7, shape[0]))
+        bundle = backward(layer, X, C)
+        probe = lambda: float(np.vdot(C, forward(layer, X)))
+        for name in ("A1", "A2", "B1", "B2"):
+            fd = central_diff(probe, getattr(layer, name))
+            assert rel_err(getattr(bundle, "d" + name), fd) <= 1e-5, name
+        assert rel_err(bundle.dx, central_diff(probe, X)) <= 1e-5
+
+    def test_vector_in_vector_out(self):
+        g = np.random.default_rng(84)
+        layer = random_layer(g, 12, 8, 4, 2)
+        x = g.normal(size=8)
+        y = forward(layer, x)
+        assert y.shape == (12,)
+        assert forward(layer, x[None]).shape == (1, 12)
+        assert np.array_equal(forward(layer, x[None])[0], y)
+        assert backward(layer, x, g.normal(size=12)).dx.shape == (8,)
+        lora = lora_init(layer.W, r=3, seed=1)
+        assert lora_forward(lora, x).shape == (12,)
+        assert lora_backward(lora, x, g.normal(size=12))[2].shape == (8,)
+
+    def test_zero_b2_batch_is_base_exactly(self):
+        g = np.random.default_rng(85)
+        W = g.normal(size=(12, 8))
+        X = g.normal(size=(7, 8))
+        layer = init(W, plan_shapes(12, 8, 4), s=2, seed=1)
+        assert np.array_equal(forward(layer, X), X @ W.T)
+        lora = lora_init(W, r=3, seed=1)
+        assert np.array_equal(lora_forward(lora, X), X @ W.T)
+
+    def test_bad_input_rejected(self):
+        g = np.random.default_rng(86)
+        layer = random_layer(g, 12, 8, 4, 2)
+        lora = lora_init(layer.W, r=3, seed=1)
+        X = g.normal(size=(3, 8))
+        G = g.normal(size=(3, 12))
+        bad_x = [np.ones((3, 9)), np.ones((2, 3, 8)), np.ones(()),
+                 np.where(np.eye(3, 8) > 0, np.nan, X),
+                 np.where(np.eye(3, 8) > 0, np.inf, X)]
+        for x in bad_x:
+            for call in (lambda: forward(layer, x),
+                         lambda: backward(layer, x, G),
+                         lambda: lora_forward(lora, x),
+                         lambda: lora_backward(lora, x, G)):
+                with pytest.raises(ValueError):
+                    call()
+        for gb in (G[:2], np.ones((3, 8)),
+                   np.where(np.eye(3, 12) > 0, np.inf, G)):
+            with pytest.raises(ValueError):
+                backward(layer, X, gb)
+            with pytest.raises(ValueError):
+                lora_backward(lora, X, gb)
+
+
+class TestLoraBatched:
+    def test_forward_matches_dense(self):
+        g = np.random.default_rng(87)
+        layer = LoraLayer(W=g.normal(size=(9, 7)), alpha=1.2,
+                          A=g.normal(size=(9, 3)), B=g.normal(size=(3, 7)))
+        X = g.normal(size=(5, 7))
+        want = X @ (layer.W + layer.alpha * layer.A @ layer.B).T
+        assert rel_err(lora_forward(layer, X), want) <= 1e-12
+
+    def test_backward_is_sum_of_vector_calls(self):
+        g = np.random.default_rng(88)
+        layer = LoraLayer(W=g.normal(size=(9, 7)), alpha=1.2,
+                          A=g.normal(size=(9, 3)), B=g.normal(size=(3, 7)))
+        X = g.normal(size=(5, 7))
+        G = g.normal(size=(5, 9))
+        dA, dB, dx = lora_backward(layer, X, G)
+        singles = [lora_backward(layer, x, gv) for x, gv in zip(X, G)]
+        assert rel_err(dA, sum(s[0] for s in singles)) <= 1e-12
+        assert rel_err(dB, sum(s[1] for s in singles)) <= 1e-12
+        for row, single in zip(dx, singles):
+            assert rel_err(row, single[2]) <= 1e-12

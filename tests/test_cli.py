@@ -1,10 +1,17 @@
 """CLI subcommands, exit codes, and output file determinism."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lsradapt
 from lsradapt import kron, materialize
-from lsradapt.cli import main
+from lsradapt.cli import build_parser, main
 from lsradapt.io import read_separated, write_matrix_text
 
 
@@ -138,6 +145,23 @@ class TestTrain:
         assert (tmp_path / "cmp.lsr.report").exists()
         assert "param ratio" in out
 
+    @pytest.mark.parametrize("mode", ["lsr", "lora", "compare"])
+    def test_report_numbers_parse_as_float(self, tmp_path, capsys, mode):
+        code, _ = run(capsys, "train", "--w1", "12", "--w2", "12",
+                      "--samples", "8", "--steps", "5", "--s", "2",
+                      "--adapter", mode, "--out", str(tmp_path / "run"))
+        assert code == 0
+        reports = sorted(tmp_path.glob("*.report"))
+        assert len(reports) == (2 if mode == "compare" else 1)
+        for path in reports:
+            fields = dict(line.split("=", 1)
+                          for line in path.read_text().splitlines())
+            assert set(fields) == {"adapter", "final_loss", "recovery_error",
+                                   "trainable_params", "curve_points"}
+            for key, value in fields.items():
+                if key != "adapter":
+                    float(value)
+
     def test_bad_plant_flags(self, tmp_path, capsys):
         code, _ = run(capsys, "train", "--plant", "kron-sum",
                       "--out", str(tmp_path / "run"))
@@ -197,3 +221,59 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a run of different commands
+    # in one process must give what each gives in a process of its own
+    g = np.random.default_rng(103)
+    src = tmp_path / "m.txt"
+    write_matrix_text(src, g.normal(size=(12, 12)))
+    commands = [
+        ["params", "--w1", "768", "--w2", "768", "--r", "4", "--s", "16"],
+        ["train", "--w1", "12", "--w2", "12", "--samples", "16", "--steps",
+         "20", "--batch-size", "8", "--s", "2", "--seed", "3", "--out",
+         "{out}/lsr"],
+        ["approx", str(src), "--left", "3x4", "--right", "4x3", "--terms",
+         "2", "--out", "{out}/dec"],
+        ["train", "--w1", "12", "--w2", "8", "--adapter", "lora", "--r", "3",
+         "--optimizer", "sgd", "--lr", "1e-3", "--samples", "8", "--steps",
+         "10", "--out", "{out}/lora"],
+        ["params", "--w1", "48", "--w2", "48", "--r", "8"],
+        ["params", "--w1", "4"],
+        ["train", "--w1", "12", "--w2", "12", "--samples", "16", "--steps",
+         "20", "--batch-size", "8", "--s", "2", "--seed", "3", "--out",
+         "{out}/lsr2"],
+    ]
+
+    def outputs(out_dir, code, text):
+        text = re.sub(r"wall \S+s", "wall -",
+                      text.replace(str(out_dir), "{out}"))
+        files = {p.relative_to(out_dir).as_posix(): p.read_bytes()
+                 for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        return code, text, files
+
+    src_dir = str(Path(lsradapt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    for k, argv in enumerate(commands):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        here.mkdir()
+        fresh.mkdir()
+        code = main([a.format(out=here) for a in argv])
+        got = outputs(here, code, capsys.readouterr().out)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lsradapt.cli import main; "
+             "raise SystemExit(main(sys.argv[1:]))",
+             *(a.format(out=fresh) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=120)
+        want = outputs(fresh, proc.returncode, proc.stdout)
+        assert got == want, argv
+    assert build_parser() is build_parser()
+    # the two identical train commands wrote identical files
+    lsr = {p.name: p.read_bytes() for p in (tmp_path / "here1").iterdir()}
+    lsr2 = {p.name.replace("lsr2", "lsr"): p.read_bytes()
+            for p in (tmp_path / "here6").iterdir()}
+    assert lsr == lsr2

@@ -114,3 +114,40 @@ class TestManifest:
         path.write_text("not a manifest\n")
         with pytest.raises(ValueError):
             read_separated(path)
+
+
+def _manifest_lines(tmp_path):
+    g = np.random.default_rng(92)
+    S = SeparatedMatrix(Shape(6, 6), [
+        KronTerm(float(g.normal()),
+                 [g.normal(size=(2, 3)), g.normal(size=(3, 2))])
+        for _ in range(2)])
+    path = write_separated(S, tmp_path, name="probe")
+    return path, path.read_text().splitlines()
+
+
+def _replace_last(key, new):
+    """Replace the last line whose first word is key by the lines new."""
+    def edit(lines):
+        i = max(j for j, ln in enumerate(lines) if ln.split()[0] == key)
+        return lines[:i] + new + lines[i + 1:]
+    return edit
+
+
+def _cut_after_last_term(lines):
+    i = max(j for j, ln in enumerate(lines) if ln.startswith("term "))
+    return lines[:i + 1]
+
+
+@pytest.mark.parametrize("edit", [
+    _replace_last("terms", []), _replace_last("terms", ["terms"]),
+    _replace_last("term", []), _replace_last("term", ["term"]),
+    _replace_last("weight", []), _replace_last("weight", ["weight"]),
+    _replace_last("shape", []), _cut_after_last_term,
+], ids=["terms-missing", "terms-bare", "term-missing", "term-bare",
+        "weight-missing", "weight-bare", "shape-missing", "cut-after-term"])
+def test_truncated_manifest_is_value_error(tmp_path, edit):
+    path, lines = _manifest_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError):
+        read_separated(path)

@@ -17,12 +17,15 @@ from lsradapt import (
     gen_task,
     init,
     lora_init,
+    materialize_delta,
     plan_shapes,
     rearrange,
     train,
 )
 
-from oracles import jacobi_singular_values
+from lsradapt.train_harness import recovery_error
+
+from oracles import dense_adam_recovery, jacobi_singular_values
 
 
 class TestGenTask:
@@ -148,6 +151,42 @@ class TestTrain:
         report = train(layer, task, cfg)
         assert report.recovery_error <= 5e-2
         assert report.trainable_params == count_params_lora(12, 12, 4)
+
+    @pytest.mark.parametrize("kind,alpha", [("lsr", 1.0), ("lsr", 0.5),
+                                            ("lora", 1.0)])
+    def test_recovery_matches_dense_adam_oracle(self, kind, alpha):
+        # one batched forward/backward per step against an oracle that
+        # materializes the update at every step; only summation order differs
+        w1, w2, r, s, seed = 12, 8, 4, 2, 21
+        plan = plan_shapes(w1, w2, r)
+        task = gen_task(w1, w2, LsrProductPlant(2, plan), 24, 0.0, seed=seed)
+        if kind == "lsr":
+            layer = init(task.W, plan, s, alpha=alpha, seed=seed)
+        else:
+            layer = lora_init(task.W, r, alpha=alpha, seed=seed)
+        cfg = OptimizerConfig(kind="adam", learning_rate=1e-2, steps=40,
+                              batch_size=10, seed=seed)
+        got = train(layer, task, cfg).recovery_error
+        want = dense_adam_recovery(kind, w1, w2, r, s, 2, 24, 40, 10, 1e-2,
+                                   seed, alpha=alpha)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-8 * want
+
+    def test_recovery_error_row_blocks(self):
+        # 150 rows span several row blocks, the last one partial
+        g = np.random.default_rng(18)
+        plan = plan_shapes(150, 20, 4)
+        task = gen_task(150, 20, LsrProductPlant(2, plan), 0, 0.0, seed=18)
+        layer = init(task.W, plan, 2, alpha=0.7, seed=18)
+        layer.B2[...] = g.normal(size=layer.B2.shape)
+        lora = lora_init(task.W, r=3, alpha=0.7, seed=18)
+        lora.B[...] = g.normal(size=lora.B.shape)
+        for lay, delta in ((layer, materialize_delta(layer)),
+                           (lora, lora.A @ lora.B)):
+            want = np.linalg.norm(lay.alpha * delta - task.delta_star)
+            got = recovery_error(lay, task)
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-12 * want
 
     def test_empty_task_rejected(self):
         plan, _ = small_task()
