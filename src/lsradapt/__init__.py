@@ -31,7 +31,6 @@ from .lsr_repr import (
     truncated_svd,
 )
 from .adapter import (
-    GradientBundle,
     LoraLayer,
     LsrAdaptLayer,
     ShapePlan,

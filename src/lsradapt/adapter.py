@@ -35,8 +35,13 @@ gradients are their projections onto each Kronecker term:
     dB2[k] = alpha * sum_i H_i B1[k] X_i^T
     dx_i   = W^T g_i + alpha * B_sum^T h_i    (one row per sample)
 
-A plain low-rank adapter (``LoraLayer``) with the same forward contract
-is included as the comparison baseline.
+A plain low-rank adapter (``LoraLayer``, ``W x + alpha * A (B x)``) is
+the comparison baseline.  Both layers share one interface, so callers
+never branch on the type: ``params`` maps names (A1, A2, B1, B2 or A, B)
+to the trainable arrays themselves, ``n_params`` counts them,
+``update_factors()`` gives the dense (A, B) before alpha, and
+``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
+``grads`` keyed like ``params``.
 """
 
 import math
@@ -130,6 +135,32 @@ class LsrAdaptLayer:
                 raise ValueError(f"{name} is {arr.shape}, expected {shape}")
             setattr(self, name, arr)
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"A1": self.A1, "A2": self.A2, "B1": self.B1, "B2": self.B2}
+
+    @property
+    def n_params(self) -> int:
+        return count_params_lsr(self.plan, self.s)
+
+    def update_factors(self) -> tuple[Matrix, Matrix]:
+        """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
+        p = self.plan
+        a_sum = np.zeros((p.w1, p.r))
+        b_sum = np.zeros((p.r, p.w2))
+        for k in range(self.s):
+            a_sum += kron(self.A1[k], self.A2[k])
+            b_sum += kron(self.B1[k], self.B2[k])
+        return a_sum, b_sum
+
+    # module functions are looked up per call, so wrappers set on them
+    # see method calls too
+    def forward(self, x) -> np.ndarray:
+        return forward(self, x)
+
+    def backward(self, x, g):
+        return backward(self, x, g)
+
 
 @dataclass(eq=False)
 class LoraLayer:
@@ -155,17 +186,22 @@ class LoraLayer:
     def r(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"A": self.A, "B": self.B}
 
-@dataclass(eq=False)
-class GradientBundle:
-    """Gradients of a scalar loss w.r.t. every factor family (summed over
-    the batch) and the input (one row per sample)."""
+    @property
+    def n_params(self) -> int:
+        return count_params_lora(*self.W.shape, self.r)
 
-    dA1: np.ndarray
-    dA2: np.ndarray
-    dB1: np.ndarray
-    dB2: np.ndarray
-    dx: np.ndarray
+    def update_factors(self) -> tuple[Matrix, Matrix]:
+        return self.A, self.B
+
+    def forward(self, x) -> np.ndarray:
+        return lora_forward(self, x)
+
+    def backward(self, x, g):
+        return lora_backward(self, x, g)
 
 
 def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
@@ -254,20 +290,9 @@ def _apply_a(layer: LsrAdaptLayer, U: np.ndarray) -> np.ndarray:
                      U.reshape(n, p.r1, p.r2)).reshape(n, p.w1)
 
 
-def factor_sums(layer: LsrAdaptLayer) -> tuple[Matrix, Matrix]:
-    """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
-    p = layer.plan
-    a_sum = np.zeros((p.w1, p.r))
-    b_sum = np.zeros((p.r, p.w2))
-    for k in range(layer.s):
-        a_sum += kron(layer.A1[k], layer.A2[k])
-        b_sum += kron(layer.B1[k], layer.B2[k])
-    return a_sum, b_sum
-
-
 def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
     """Dense w1 x w2 update (without alpha): A_sum @ B_sum."""
-    a_sum, b_sum = factor_sums(layer)
+    a_sum, b_sum = layer.update_factors()
     return a_sum @ b_sum
 
 
@@ -287,13 +312,14 @@ def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
     return d1, d2
 
 
-def backward(layer: LsrAdaptLayer, x, g) -> GradientBundle:
-    """Exact gradients of L w.r.t. all factors and x, given g = dL/dy.
+def backward(layer: LsrAdaptLayer, x, g):
+    """Exact gradients ``(grads, dx)`` of L w.r.t. the factors and x,
+    given g = dL/dy.
 
-    x is (n, w2) and g is (n, w1), or single vectors.  The factor
-    gradients are summed over the batch; dx has one row per sample (a
-    vector for vector input).  See the module docstring for the
-    derivation; everything is evaluated matrix-free.
+    x is (n, w2) and g is (n, w1), or single vectors.  ``grads`` maps each
+    name in ``layer.params`` to its gradient, summed over the batch; dx
+    has one row per sample (a vector for vector input).  See the module
+    docstring for the derivation; everything is evaluated matrix-free.
     """
     p = layer.plan
     X, single = _as_batch(x, p.w2, "x")
@@ -304,8 +330,7 @@ def backward(layer: LsrAdaptLayer, x, g) -> GradientBundle:
     alpha = layer.alpha
     dx = G @ layer.W
     if alpha == 0.0:
-        dA1, dA2 = np.zeros_like(layer.A1), np.zeros_like(layer.A2)
-        dB1, dB2 = np.zeros_like(layer.B1), np.zeros_like(layer.B2)
+        grads = {k: np.zeros_like(v) for k, v in layer.params.items()}
     else:
         U = _apply_b(layer, X)
         # rows of A_sum^T g and B_sum^T h: the same kernel on the
@@ -314,11 +339,11 @@ def backward(layer: LsrAdaptLayer, x, g) -> GradientBundle:
                       G.reshape(n, p.a1, p.a2)).reshape(n, p.r)
         dA1, dA2 = _project(alpha * (G.T @ U), layer.A1, layer.A2)
         dB1, dB2 = _project(alpha * (H.T @ X), layer.B1, layer.B2)
+        grads = {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}
         dx += alpha * _kron_sum(
             layer.B1.transpose(0, 2, 1), layer.B2.transpose(0, 2, 1),
             H.reshape(n, p.r1, p.r2)).reshape(n, p.w2)
-    return GradientBundle(dA1=dA1, dA2=dA2, dB1=dB1, dB2=dB2,
-                          dx=dx.reshape(-1) if single else dx)
+    return grads, dx.reshape(-1) if single else dx
 
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
@@ -354,18 +379,18 @@ def lora_forward(layer: LoraLayer, x) -> np.ndarray:
 
 
 def lora_backward(layer: LoraLayer, x, g):
-    """Gradients (dA, dB, dx) for the baseline forward map: dA and dB
-    summed over the rows of x and g, dx one row per sample."""
+    """Gradients ``({"A": dA, "B": dB}, dx)`` for the baseline forward
+    map: dA and dB summed over the rows of x and g, dx one row per
+    sample."""
     X, single = _as_batch(x, layer.W.shape[1], "x")
     G, _ = _as_batch(g, layer.W.shape[0], "g")
     if G.shape[0] != X.shape[0]:
         raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
-    mid = X @ layer.B.T
     at_g = G @ layer.A
-    dA = layer.alpha * (G.T @ mid)
-    dB = layer.alpha * (at_g.T @ X)
+    grads = {"A": layer.alpha * (G.T @ (X @ layer.B.T)),
+             "B": layer.alpha * (at_g.T @ X)}
     dx = G @ layer.W + layer.alpha * (at_g @ layer.B)
-    return dA, dB, dx.reshape(-1) if single else dx
+    return grads, dx.reshape(-1) if single else dx
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:

@@ -204,13 +204,8 @@ def _median_ns(fn, repeats: int) -> float:
 
 def cmd_bench(args) -> int:
     g = rng_stream(args.seed, "bench")
-    plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-    layer = adapter.LsrAdaptLayer(
-        W=g.normal(size=(args.w1, args.w2)), alpha=1.0, plan=plan, s=args.s,
-        A1=g.normal(size=(args.s, plan.a1, plan.r1)),
-        A2=g.normal(size=(args.s, plan.a2, plan.r2)),
-        B1=g.normal(size=(args.s, plan.r1, plan.b1)),
-        B2=g.normal(size=(args.s, plan.r2, plan.b2)))
+    layer = verify.random_layer(g, args.w1, args.w2, args.r, args.s)
+    plan = layer.plan
     x = g.normal(size=args.w2)
 
     free_ns = _median_ns(lambda: adapter.forward(layer, x), args.repeats)

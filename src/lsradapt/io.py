@@ -13,6 +13,7 @@ shape, the term count, and per term the weight plus relative paths of
 the factor files.
 """
 
+import os
 import struct
 from pathlib import Path
 
@@ -65,13 +66,20 @@ def read_matrix(path) -> Matrix:
 
 def _read_matrix_text(path) -> Matrix:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        line = fh.readline()
+        header = line.split()
         if len(header) != 2:
             raise ValueError(f"{path}: expected 'rows cols' header")
         try:
             rows, cols = int(header[0]), int(header[1])
         except ValueError as exc:
             raise ValueError(f"{path}: bad header {header}") from exc
+        # every value takes at least one character plus a separator, so
+        # the file size bounds what the header may ask to allocate
+        body = os.fstat(fh.fileno()).st_size - len(line)
+        if rows < 1 or cols < 1 or 2 * rows * cols - 1 > body:
+            raise ValueError(f"{path}: header declares {rows}x{cols}, which "
+                             f"{body} bytes of values cannot hold")
         data = np.empty((rows, cols))
         for i in range(rows):
             parts = fh.readline().split()
@@ -125,6 +133,16 @@ def read_separated(manifest_path) -> SeparatedMatrix:
     rows, cols = (int(v) for v in expect(1, "shape", 2))
     n_terms = int(expect(2, "terms", 1)[0])
     base = manifest_path.parent
+    root = base.resolve()
+
+    def read_factor(line):
+        rel = line.split(maxsplit=1)[1]
+        path = base / rel
+        if Path(rel).is_absolute() or not path.resolve().is_relative_to(root):
+            raise ValueError(f"{manifest_path}: factor path {rel!r} leaves "
+                             f"the manifest directory")
+        return read_matrix(path)
+
     terms = []
     i = 3
     for k in range(n_terms):
@@ -133,7 +151,10 @@ def read_separated(manifest_path) -> SeparatedMatrix:
         i += 2
         factors = []
         while i < len(lines) and lines[i].startswith("factor "):
-            factors.append(read_matrix(base / lines[i].split(maxsplit=1)[1]))
+            factors.append(read_factor(lines[i]))
             i += 1
         terms.append(KronTerm(weight, factors))
+    if i < len(lines):
+        raise ValueError(f"{manifest_path}: unexpected line {i + 1} after the "
+                         f"last term: {lines[i]!r}")
     return SeparatedMatrix(Shape(rows, cols), terms)

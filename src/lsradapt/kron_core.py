@@ -117,9 +117,7 @@ def apply_kron2(P, Q, x) -> Vector:
 
 def apply_kron2_transpose(P, Q, g) -> Vector:
     """Compute (P (x) Q)^T @ g, i.e. (P^T (x) Q^T) @ g, matrix-free."""
-    P = as_matrix(P, "P")
-    Q = as_matrix(Q, "Q")
-    return apply_kron2(P.T, Q.T, g)
+    return apply_kron2(np.transpose(P), np.transpose(Q), g)
 
 
 def apply_kron2_flops(p_shape, q_shape) -> int:

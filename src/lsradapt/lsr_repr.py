@@ -26,7 +26,7 @@ from .kron_core import (
     as_matrix,
     as_vector,
     kron_multi,
-    apply_kron2,
+    _apply2,
 )
 
 
@@ -110,7 +110,8 @@ def apply(S: SeparatedMatrix, x) -> Vector:
     """Matrix-free materialize(S) @ x for two-factor terms.
 
     Representations with a factor count other than 2 fall back to
-    materialize-then-multiply.
+    materialize-then-multiply.  x is validated once here; the factors
+    were validated when their ``KronTerm`` was built.
     """
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
@@ -121,7 +122,7 @@ def apply(S: SeparatedMatrix, x) -> Vector:
         return materialize(S) @ x
     out = np.zeros(S.shape.rows)
     for t in S.terms:
-        out += t.weight * apply_kron2(t.factors[0], t.factors[1], x)
+        out += t.weight * _apply2(t.factors[0], t.factors[1], x)
     return out
 
 

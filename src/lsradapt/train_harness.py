@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapter
-from .adapter import LoraLayer, LsrAdaptLayer, ShapePlan
+from .adapter import ShapePlan
 from .kron_core import Matrix, Shape, kron
 from .rng import rng_stream
 
@@ -181,49 +181,13 @@ def gen_task(w1: int, w2: int, plant, n_samples: int, noise_std: float,
 # ---------------------------------------------------------------- training
 
 
-def _layer_params(layer) -> dict[str, np.ndarray]:
-    if isinstance(layer, LsrAdaptLayer):
-        return {"A1": layer.A1, "A2": layer.A2, "B1": layer.B1, "B2": layer.B2}
-    if isinstance(layer, LoraLayer):
-        return {"A": layer.A, "B": layer.B}
-    raise TypeError(f"unsupported layer type {type(layer)!r}")
-
-
-def _forward(layer, x):
-    if isinstance(layer, LsrAdaptLayer):
-        return adapter.forward(layer, x)
-    return adapter.lora_forward(layer, x)
-
-
-def _grads(layer, x, g) -> dict[str, np.ndarray]:
-    if isinstance(layer, LsrAdaptLayer):
-        gb = adapter.backward(layer, x, g)
-        return {"A1": gb.dA1, "A2": gb.dA2, "B1": gb.dB1, "B2": gb.dB2}
-    dA, dB, _ = adapter.lora_backward(layer, x, g)
-    return {"A": dA, "B": dB}
-
-
-def trainable_param_count(layer) -> int:
-    if isinstance(layer, LsrAdaptLayer):
-        return adapter.count_params_lsr(layer.plan, layer.s)
-    return adapter.count_params_lora(layer.W.shape[0], layer.W.shape[1],
-                                     layer.r)
-
-
-def _update_factors(layer) -> tuple[Matrix, Matrix]:
-    """Dense factors (A, B) of the update A @ B, before alpha."""
-    if isinstance(layer, LsrAdaptLayer):
-        return adapter.factor_sums(layer)
-    return layer.A, layer.B
-
-
 def recovery_error(layer, task: SyntheticTask) -> float:
     """||alpha * A @ B - delta_star||_F / ||delta_star||_F, accumulated over
     blocks of _RECOVERY_ROWS rows so that no w1 x w2 temporary is built."""
     denom = np.linalg.norm(task.delta_star)
     if denom == 0.0:
         return float("nan")
-    A, B = _update_factors(layer)
+    A, B = layer.update_factors()
     A = layer.alpha * A
     total = 0.0
     for i in range(0, A.shape[0], _RECOVERY_ROWS):
@@ -234,7 +198,7 @@ def recovery_error(layer, task: SyntheticTask) -> float:
 
 
 def _dataset_loss(layer, task: SyntheticTask) -> float:
-    resid = _forward(layer, task.inputs) - task.targets
+    resid = layer.forward(task.inputs) - task.targets
     return 0.5 * float(np.vdot(resid, resid)) / task.n_samples
 
 
@@ -305,7 +269,7 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
         raise ValueError("layer and task disagree on the base weight shape")
     if task.n_samples == 0:
         raise ValueError("cannot train on an empty task")
-    params = _layer_params(layer)
+    params = layer.params
     opt = _Optimizer(config, params)
     sampler = _BatchSampler(task.n_samples, config.batch_size, config.seed)
     log_every = max(1, config.steps // 100)
@@ -316,10 +280,10 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
         idx = sampler.next()
         scale = 1.0 / len(idx)
         x = task.inputs[idx]
-        resid = _forward(layer, x) - task.targets[idx]
+        resid = layer.forward(x) - task.targets[idx]
         if not math.isfinite(float(np.vdot(resid, resid))):
             raise DivergenceError(step)
-        grads = _grads(layer, x, resid)
+        grads, _ = layer.backward(x, resid)
         for g in grads.values():
             g *= scale
         opt.step(params, grads)
@@ -331,7 +295,7 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     wall = time.perf_counter() - t0
     return TrainReport(loss_curve=loss_curve, final_loss=loss_curve[-1],
                        recovery_error=recovery_error(layer, task),
-                       trainable_params=trainable_param_count(layer),
+                       trainable_params=layer.n_params,
                        wall_time_seconds=wall)
 
 

@@ -181,17 +181,18 @@ def test_criterion_06_gradient_correctness():
         layer = random_layer(g, w1, w2, r, s, alpha=float(g.uniform(0.5, 2)))
         x = g.normal(size=w2)
         c = g.normal(size=w1)
-        bundle = backward(layer, x, c)
+        grads, dx = backward(layer, x, c)
         probe = lambda: float(c @ forward(layer, x))
-        for name, got in (("A1", bundle.dA1), ("A2", bundle.dA2),
-                          ("B1", bundle.dB1), ("B2", bundle.dB2)):
+        for name, got in (("A1", grads["A1"]), ("A2", grads["A2"]),
+                          ("B1", grads["B1"]), ("B2", grads["B2"])):
             fd = central_diff(probe, getattr(layer, name))
             worst = max(worst, rel_err(got, fd))
-        worst = max(worst, rel_err(bundle.dx, central_diff(probe, x)))
+        worst = max(worst, rel_err(dx, central_diff(probe, x)))
 
         lora = LoraLayer(W=g.normal(size=(w1, w2)), alpha=1.3,
                          A=g.normal(size=(w1, r)), B=g.normal(size=(r, w2)))
-        dA, dB, dx = lora_backward(lora, x, c)
+        lgrads, dx = lora_backward(lora, x, c)
+        dA, dB = lgrads["A"], lgrads["B"]
         lprobe = lambda: float(c @ lora_forward(lora, x))
         worst = max(worst, rel_err(dA, central_diff(lprobe, lora.A)))
         worst = max(worst, rel_err(dB, central_diff(lprobe, lora.B)))
@@ -209,9 +210,9 @@ def test_criterion_07_init_invariance():
     x = g.normal(size=18)
     gvec = g.normal(size=24)
     base_exact = bool(np.max(np.abs(forward(layer, x) - W @ x)) <= 1e-15)
-    bundle = backward(layer, x, gvec)
-    a_zero = not bundle.dA1.any() and not bundle.dA2.any()
-    b2_live = bool(bundle.dB2.any())
+    grads, _ = backward(layer, x, gvec)
+    a_zero = not grads["A1"].any() and not grads["A2"].any()
+    b2_live = bool(grads["B2"].any())
     report(7, base_exact and a_zero and b2_live,
            "fresh layer: forward == W @ x, A-side gradients exactly zero, "
            "B2 gradient nonzero")

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from lsradapt import (
+    DensePlant,
     LoraLayer,
     LsrAdaptLayer,
+    OptimizerConfig,
     backward,
     count_params_lora,
     count_params_lsr,
     export_delta_as_separated,
     forward,
+    gen_task,
     init,
     lora_backward,
     lora_forward,
@@ -22,6 +25,7 @@ from lsradapt import (
     materialize_delta,
     materialize,
     plan_shapes,
+    train,
 )
 
 from oracles import central_diff, naive_kron, rel_err
@@ -171,34 +175,34 @@ class TestBackward:
                      seed=3)
         x = g.normal(size=8)
         gvec = g.normal(size=12)
-        bundle = backward(layer, x, gvec)
-        assert not bundle.dA1.any()
-        assert not bundle.dA2.any()
-        assert bundle.dB2.any()
+        grads, _ = backward(layer, x, gvec)
+        assert not grads["A1"].any()
+        assert not grads["A2"].any()
+        assert grads["B2"].any()
 
     def test_alpha_zero(self):
         g = np.random.default_rng(70)
         layer = random_layer(g, 8, 6, 2, 2, alpha=0.0)
         x = g.normal(size=6)
         gvec = g.normal(size=8)
-        bundle = backward(layer, x, gvec)
-        for arr in (bundle.dA1, bundle.dA2, bundle.dB1, bundle.dB2):
+        grads, dx = backward(layer, x, gvec)
+        for arr in (grads["A1"], grads["A2"], grads["B1"], grads["B2"]):
             assert not arr.any()
-        assert rel_err(bundle.dx, layer.W.T @ gvec) <= 1e-14
+        assert rel_err(dx, layer.W.T @ gvec) <= 1e-14
 
     def test_matches_finite_differences(self):
         g = np.random.default_rng(71)
         layer = random_layer(g, 12, 12, 4, 2, alpha=1.4)
         x = g.normal(size=12)
         c = g.normal(size=12)
-        bundle = backward(layer, x, c)
+        grads, dx = backward(layer, x, c)
         probe = lambda: float(c @ forward(layer, x))
-        for name, got in (("A1", bundle.dA1), ("A2", bundle.dA2),
-                          ("B1", bundle.dB1), ("B2", bundle.dB2)):
+        for name, got in (("A1", grads["A1"]), ("A2", grads["A2"]),
+                          ("B1", grads["B1"]), ("B2", grads["B2"])):
             fd = central_diff(probe, getattr(layer, name))
             assert rel_err(got, fd) <= 1e-5, name
         fd_x = central_diff(probe, x)
-        assert rel_err(bundle.dx, fd_x) <= 1e-5
+        assert rel_err(dx, fd_x) <= 1e-5
 
     def test_dimension_mismatch(self):
         g = np.random.default_rng(72)
@@ -254,7 +258,8 @@ class TestLora:
                           A=g.normal(size=(9, 3)), B=g.normal(size=(3, 7)))
         x = g.normal(size=7)
         c = g.normal(size=9)
-        dA, dB, dx = lora_backward(layer, x, c)
+        grads, dx = lora_backward(layer, x, c)
+        dA, dB = grads["A"], grads["B"]
         probe = lambda: float(c @ lora_forward(layer, x))
         assert rel_err(dA, central_diff(probe, layer.A)) <= 1e-5
         assert rel_err(dB, central_diff(probe, layer.B)) <= 1e-5
@@ -334,14 +339,14 @@ class TestBatchedKernel:
         layer = random_layer(g, *shape, alpha=0.8)
         X = g.normal(size=(7, shape[1]))
         G = g.normal(size=(7, shape[0]))
-        batch = backward(layer, X, G)
+        batch, batch_dx = backward(layer, X, G)
         singles = [backward(layer, x, gv) for x, gv in zip(X, G)]
-        for name in ("dA1", "dA2", "dB1", "dB2"):
-            want = sum(getattr(b, name) for b in singles)
-            assert rel_err(getattr(batch, name), want) <= 1e-12, name
-        assert batch.dx.shape == X.shape
-        for row, single in zip(batch.dx, singles):
-            assert rel_err(row, single.dx) <= 1e-12
+        for name in ("A1", "A2", "B1", "B2"):
+            want = sum(b[name] for b, _ in singles)
+            assert rel_err(batch[name], want) <= 1e-12, name
+        assert batch_dx.shape == X.shape
+        for row, (_, single_dx) in zip(batch_dx, singles):
+            assert rel_err(row, single_dx) <= 1e-12
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_backward_matches_finite_differences(self, shape):
@@ -349,12 +354,12 @@ class TestBatchedKernel:
         layer = random_layer(g, *shape, alpha=1.1)
         X = g.normal(size=(7, shape[1]))
         C = g.normal(size=(7, shape[0]))
-        bundle = backward(layer, X, C)
+        grads, dx = backward(layer, X, C)
         probe = lambda: float(np.vdot(C, forward(layer, X)))
         for name in ("A1", "A2", "B1", "B2"):
             fd = central_diff(probe, getattr(layer, name))
-            assert rel_err(getattr(bundle, "d" + name), fd) <= 1e-5, name
-        assert rel_err(bundle.dx, central_diff(probe, X)) <= 1e-5
+            assert rel_err(grads[name], fd) <= 1e-5, name
+        assert rel_err(dx, central_diff(probe, X)) <= 1e-5
 
     def test_vector_in_vector_out(self):
         g = np.random.default_rng(84)
@@ -364,10 +369,10 @@ class TestBatchedKernel:
         assert y.shape == (12,)
         assert forward(layer, x[None]).shape == (1, 12)
         assert np.array_equal(forward(layer, x[None])[0], y)
-        assert backward(layer, x, g.normal(size=12)).dx.shape == (8,)
+        assert backward(layer, x, g.normal(size=12))[1].shape == (8,)
         lora = lora_init(layer.W, r=3, seed=1)
         assert lora_forward(lora, x).shape == (12,)
-        assert lora_backward(lora, x, g.normal(size=12))[2].shape == (8,)
+        assert lora_backward(lora, x, g.normal(size=12))[1].shape == (8,)
 
     def test_zero_b2_batch_is_base_exactly(self):
         g = np.random.default_rng(85)
@@ -417,9 +422,41 @@ class TestLoraBatched:
                           A=g.normal(size=(9, 3)), B=g.normal(size=(3, 7)))
         X = g.normal(size=(5, 7))
         G = g.normal(size=(5, 9))
-        dA, dB, dx = lora_backward(layer, X, G)
+        grads, dx = lora_backward(layer, X, G)
         singles = [lora_backward(layer, x, gv) for x, gv in zip(X, G)]
-        assert rel_err(dA, sum(s[0] for s in singles)) <= 1e-12
-        assert rel_err(dB, sum(s[1] for s in singles)) <= 1e-12
+        assert rel_err(grads["A"], sum(s[0]["A"] for s in singles)) <= 1e-12
+        assert rel_err(grads["B"], sum(s[0]["B"] for s in singles)) <= 1e-12
         for row, single in zip(dx, singles):
-            assert rel_err(row, single[2]) <= 1e-12
+            assert rel_err(row, single[1]) <= 1e-12
+
+
+def _interface_layer(kind, g):
+    if kind == "lsr":
+        return random_layer(g, 12, 8, 4, 2, alpha=0.7)
+    return LoraLayer(W=g.normal(size=(12, 8)), alpha=0.7,
+                     A=g.normal(size=(12, 3)), B=g.normal(size=(3, 8)))
+
+
+@pytest.mark.parametrize("kind", ["lsr", "lora"])
+def test_layer_interface_contract(kind):
+    g = np.random.default_rng(89)
+    layer = _interface_layer(kind, g)
+    params = layer.params
+    X = g.normal(size=(5, 8))
+    grads, dx = layer.backward(X, g.normal(size=(5, 12)))
+    assert list(grads) == list(params)
+    for name, p in params.items():
+        assert grads[name].shape == p.shape, name
+    assert dx.shape == X.shape
+    assert layer.n_params == sum(p.size for p in params.values())
+
+    A, B = layer.update_factors()
+    want = X @ (layer.alpha * A @ B).T
+    assert rel_err(layer.forward(X) - X @ layer.W.T, want) <= 1e-12
+
+    before = {name: p.copy() for name, p in params.items()}
+    task = gen_task(12, 8, DensePlant(), n_samples=16, noise_std=0.0, seed=4)
+    train(layer, task, OptimizerConfig(steps=3, batch_size=8))
+    for name, p in layer.params.items():
+        assert p is params[name], name
+        assert not np.array_equal(p, before[name]), name

@@ -1,5 +1,7 @@
 """File format round trips and malformed-input handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,24 @@ class TestTextFormat:
         with pytest.raises(OSError):
             read_matrix(tmp_path / "nope.txt")
 
+    def test_header_checked_against_file_size_before_allocating(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("4096 4096\n1 2\n")
+        assert path.stat().st_size == 14
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_tightest_file_still_reads(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 2\n3 4")
+        assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -144,10 +164,27 @@ def _cut_after_last_term(lines):
     _replace_last("term", []), _replace_last("term", ["term"]),
     _replace_last("weight", []), _replace_last("weight", ["weight"]),
     _replace_last("shape", []), _cut_after_last_term,
+    lambda lines: lines + ["garbage line"],
 ], ids=["terms-missing", "terms-bare", "term-missing", "term-bare",
-        "weight-missing", "weight-bare", "shape-missing", "cut-after-term"])
+        "weight-missing", "weight-bare", "shape-missing", "cut-after-term",
+        "trailing-line"])
 def test_truncated_manifest_is_value_error(tmp_path, edit):
     path, lines = _manifest_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ValueError):
+        read_separated(path)
+
+
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "dotdot"])
+def test_factor_path_outside_manifest_dir_rejected(tmp_path, absolute):
+    path, lines = _manifest_lines(tmp_path / "m")
+    i = next(j for j, ln in enumerate(lines) if ln.startswith("factor "))
+    factor = path.parent / lines[i].split()[1]
+    outside = tmp_path / "other" / "f1.lsrb"
+    outside.parent.mkdir()
+    outside.write_bytes(factor.read_bytes())
+    rel = str(outside) if absolute else "../other/f1.lsrb"
+    lines[i] = f"factor {rel}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="leaves the manifest directory"):
         read_separated(path)
