@@ -22,6 +22,7 @@ from .lsr_repr import (
     apply,
     check_precision,
     condition_number,
+    diagnose,
     factor_vector,
     from_rank_decomposition,
     materialize,

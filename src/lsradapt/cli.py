@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage, 3 I/O,
 
 import argparse
 import functools
-import os
 import statistics
 import time
 from pathlib import Path
@@ -29,9 +28,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 EXIT_DIVERGED = 5
 
-MEM_CAP_ENV = "LSR_MEM_CAP_MB"
-DEFAULT_MEM_CAP_MB = 512.0
-
 
 def _parse_shape(text: str) -> Shape:
     try:
@@ -42,22 +38,18 @@ def _parse_shape(text: str) -> Shape:
             f"expected ROWSxCOLS, got {text!r}") from exc
 
 
-def _mem_cap_bytes() -> float:
-    return float(os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB)) * 2**20
-
-
 # ---------------------------------------------------------------- approx
 
 
 def cmd_approx(args) -> int:
     try:
         M = io.read_matrix(args.input)
+    except io.MemoryCapError as exc:
+        print(f"error: {exc}")
+        return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}")
         return EXIT_IO
-    if M.size * 8 > _mem_cap_bytes():
-        print(f"error: input exceeds memory cap ({MEM_CAP_ENV})")
-        return EXIT_NUMERICAL
     try:
         S = lsr_repr.nearest_kron_sum(M, args.left, args.right, args.terms)
     except ValueError as exc:
@@ -67,15 +59,17 @@ def cmd_approx(args) -> int:
         print(f"error: {exc}")
         return EXIT_NUMERICAL
 
-    approx = lsr_repr.materialize(S)
-    fro_err = float(np.linalg.norm(M - approx))
-    norm = float(np.linalg.norm(M))
-    rel_err = fro_err / norm if norm > 0 else fro_err
+    mus = {"mu=2^-11": 2.0**-11, "mu=2^-24": 2.0**-24}
+    budgets = [lsr_repr.PrecisionBudget(mu, args.epsilon)
+               for mu in mus.values()]
     try:
-        gamma = lsr_repr.condition_number(S)
+        approx, gamma, verdicts = lsr_repr.diagnose(S, budgets)
     except ZeroDivisionError as exc:
         print(f"error: {exc}")
         return EXIT_NUMERICAL
+    fro_err = float(np.linalg.norm(M - approx))
+    norm = float(np.linalg.norm(M))
+    rel_err = fro_err / norm if norm > 0 else fro_err
 
     manifest = io.write_separated(S, args.out, name=args.name)
     rows = [
@@ -85,9 +79,7 @@ def cmd_approx(args) -> int:
         ("relative error", f"{rel_err:.6e}"),
         ("condition number", f"{gamma:.12f}"),
     ]
-    for mu, label in ((2.0**-11, "mu=2^-11"), (2.0**-24, "mu=2^-24")):
-        ok = lsr_repr.check_precision(
-            S, lsr_repr.PrecisionBudget(mu, args.epsilon))
+    for label, ok in zip(mus, verdicts):
         rows.append((f"precision {label} eps={args.epsilon:g}",
                      "PASS" if ok else "FAIL"))
     width = max(len(k) for k, _ in rows)
@@ -210,12 +202,12 @@ def cmd_bench(args) -> int:
 
     free_ns = _median_ns(lambda: adapter.forward(layer, x), args.repeats)
     delta_bytes = args.w1 * args.w2 * 8
-    if delta_bytes <= _mem_cap_bytes():
+    if delta_bytes <= io.mem_cap_bytes():
         weff = layer.W + layer.alpha * adapter.materialize_delta(layer)
         dense_ns = f"{_median_ns(lambda: weff @ x, args.repeats):.0f}"
     else:
         dense_ns = (f"skipped (needs {delta_bytes / 2**20:.0f} MiB, cap "
-                    f"{_mem_cap_bytes() / 2**20:.0f} MiB)")
+                    f"{io.mem_cap_bytes() / 2**20:.0f} MiB)")
 
     mfree_flops = args.s * (
         apply_kron2_flops((plan.r1, plan.b1), (plan.r2, plan.b2))

@@ -11,6 +11,9 @@ values in row-major order.  Round-trips are bit-exact.
 A separated representation is stored as a manifest (text) naming the
 shape, the term count, and per term the weight plus relative paths of
 the factor files.
+
+Both matrix readers refuse a header whose ``rows*cols`` float64 values
+exceed ``LSR_MEM_CAP_MB`` (``MemoryCapError``) before they allocate.
 """
 
 import os
@@ -26,6 +29,24 @@ MAGIC = b"LSRB"
 VERSION = 1
 _HEADER = struct.Struct("<4sBII")
 
+MEM_CAP_ENV = "LSR_MEM_CAP_MB"
+DEFAULT_MEM_CAP_MB = 512.0
+
+
+class MemoryCapError(ValueError):
+    """A matrix file declares more values than ``LSR_MEM_CAP_MB`` allows."""
+
+
+def mem_cap_bytes() -> float:
+    return float(os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB)) * 2**20
+
+
+def _check_mem_cap(path, rows: int, cols: int) -> None:
+    if rows * cols * 8 > mem_cap_bytes():
+        raise MemoryCapError(
+            f"{path}: {rows}x{cols} needs {rows * cols * 8 / 2**20:g} MiB, "
+            f"over the memory cap {MEM_CAP_ENV}={mem_cap_bytes() / 2**20:g}")
+
 
 def write_matrix_binary(path, M) -> None:
     M = as_matrix(M, "M")
@@ -40,7 +61,7 @@ def write_matrix_text(path, M) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         for row in M:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix(path) -> Matrix:
@@ -54,12 +75,14 @@ def read_matrix(path) -> Matrix:
             _, version, rows, cols = _HEADER.unpack(head + rest)
             if version != VERSION:
                 raise ValueError(f"{path}: unsupported version {version}")
-            payload = fh.read()
-            if len(payload) != rows * cols * 8:
+            payload_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if payload_bytes != rows * cols * 8:
                 raise ValueError(
-                    f"{path}: payload holds {len(payload) // 8} values, "
+                    f"{path}: payload holds {payload_bytes // 8} values, "
                     f"header declares {rows}x{cols}")
-            data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+            _check_mem_cap(path, rows, cols)
+            # reshape raises ValueError if the file changed since the stat
+            data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols)
             return as_matrix(data, str(path))
     return _read_matrix_text(path)
 
@@ -80,13 +103,14 @@ def _read_matrix_text(path) -> Matrix:
         if rows < 1 or cols < 1 or 2 * rows * cols - 1 > body:
             raise ValueError(f"{path}: header declares {rows}x{cols}, which "
                              f"{body} bytes of values cannot hold")
+        _check_mem_cap(path, rows, cols)
         data = np.empty((rows, cols))
         for i in range(rows):
             parts = fh.readline().split()
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, "
                                  f"expected {cols}")
-            data[i] = [float(p) for p in parts]
+            data[i] = np.array(parts, dtype=np.float64)
     return as_matrix(data, str(path))
 
 

@@ -4,7 +4,8 @@ A ``SeparatedMatrix`` stores a target shape plus terms ``weight * F1 (x)
 F2 (x) ... (x) Fr``; the number of terms is the separation rank.  Besides
 construction and evaluation, this module provides:
 
-* conditioning diagnostics (``condition_number``, ``check_precision``),
+* conditioning diagnostics (``condition_number``, ``check_precision``,
+  and ``diagnose``, which takes both from one materialization),
 * the block rearrangement ``rearrange`` under which every Kronecker
   product becomes a rank-1 matrix, so that a truncated SVD of the
   rearranged matrix yields the Frobenius-optimal sum-of-Kronecker
@@ -126,23 +127,31 @@ def apply(S: SeparatedMatrix, x) -> Vector:
     return out
 
 
-def condition_number(S: SeparatedMatrix) -> float:
-    """Ratio of the term-weight l2 norm to the Frobenius norm of the
-    materialized matrix (cancellation indicator for the representation)."""
-    fro = float(np.linalg.norm(materialize(S)))
+def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
+    """Materialize S once and return the dense matrix, the condition number
+    gamma (``condition_number``) and, per ``PrecisionBudget``, whether the
+    precision rule ``gamma * mu * ||M||_F <= epsilon`` holds (inclusive)."""
+    dense = materialize(S)
+    fro = float(np.linalg.norm(dense))
     if fro == 0.0:
         raise ZeroDivisionError(
             "condition number undefined: representation materializes to the "
             "zero matrix (terms cancel or are empty)")
-    return math.sqrt(sum(t.weight * t.weight for t in S.terms)) / fro
+    gamma = math.sqrt(sum(t.weight * t.weight for t in S.terms)) / fro
+    return dense, gamma, [bool(gamma * b.mu * fro <= b.epsilon)
+                          for b in budgets]
+
+
+def condition_number(S: SeparatedMatrix) -> float:
+    """Ratio of the term-weight l2 norm to the Frobenius norm of the
+    materialized matrix (cancellation indicator for the representation)."""
+    return diagnose(S, ())[1]
 
 
 def check_precision(S: SeparatedMatrix, budget: PrecisionBudget) -> bool:
     """True when the representation meets the precision rule
     ``gamma * mu * ||M||_F <= epsilon`` (inclusive)."""
-    fro = float(np.linalg.norm(materialize(S)))
-    gamma = condition_number(S)
-    return bool(gamma * budget.mu * fro <= budget.epsilon)
+    return diagnose(S, (budget,))[2][0]
 
 
 def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
@@ -190,16 +199,35 @@ def rearrange(M, left: Shape, right: Shape) -> Matrix:
 def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
     """Rank-k truncated SVD: U (cols orthonormal), sigma (non-increasing,
     non-negative), V (cols orthonormal) with M ~= U @ diag(sigma) @ V.T
-    the best rank-k Frobenius approximation."""
+    the best rank-k Frobenius approximation.
+
+    The full left basis is never formed (``_tall_svd``); a wide M goes
+    through its transpose.
+    """
     M = as_matrix(M, "M")
-    if not 1 <= k <= min(M.shape):
-        raise ValueError(f"k={k} out of range for {M.shape[0]}x{M.shape[1]}")
+    rows, cols = M.shape
+    if not 1 <= k <= min(rows, cols):
+        raise ValueError(f"k={k} out of range for {rows}x{cols}")
     try:
-        U, sigma, Vt = np.linalg.svd(M, full_matrices=False)
+        if rows < cols:
+            V, sigma, U = _tall_svd(M.T, k)
+            return U, sigma, V
+        return _tall_svd(M, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return (np.ascontiguousarray(U[:, :k]), sigma[:k].copy(),
-            np.ascontiguousarray(Vt[:k].T))
+
+
+def _tall_svd(M, k):
+    """Rank-k SVD of an M with rows >= cols.  The triangle R of M = QR has
+    M's singular values and right vectors, so its SVD gives the k leading
+    right vectors Vk without Q.  One Rayleigh-Ritz step on the span of
+    M @ Vk then yields U (orthonormal from the QR, even for zero singular
+    values), sigma and the matching rotation of Vk."""
+    _, _, Wt = np.linalg.svd(np.linalg.qr(M, mode="r"))
+    Vk = Wt[:k].T
+    Qy, Ry = np.linalg.qr(M @ Vk)
+    Ur, sigma, Zt = np.linalg.svd(Ry)
+    return Qy @ Ur, sigma, Vk @ Zt.T
 
 
 def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import lsradapt
-from lsradapt import kron, materialize
+import lsradapt.lsr_repr
+from lsradapt import (
+    PrecisionBudget,
+    check_precision,
+    condition_number,
+    kron,
+    materialize,
+)
 from lsradapt.cli import build_parser, main
 from lsradapt.io import read_separated, write_matrix_text
 
@@ -89,6 +96,41 @@ class TestApprox:
                       "--right", "2x2", "--terms", "1",
                       "--out", str(tmp_path / "dec"))
         assert code == 4
+
+    def test_input_over_memory_cap_is_numerical_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.eye(12))
+        monkeypatch.setenv("LSR_MEM_CAP_MB", "0.001")
+        code, out = run(capsys, "approx", str(src), "--left", "3x4",
+                        "--right", "4x3", "--terms", "1",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 4
+        assert "memory cap" in out
+        assert not (tmp_path / "dec").exists()
+
+    def test_one_materialization_and_library_diagnostics(self, tmp_path,
+                                                         capsys, monkeypatch):
+        g = np.random.default_rng(104)
+        M = g.normal(size=(12, 12))
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, M / np.linalg.norm(M))
+        calls = []
+        original = lsradapt.lsr_repr.materialize
+        monkeypatch.setattr(lsradapt.lsr_repr, "materialize",
+                            lambda S: calls.append(S) or original(S))
+        code, out = run(capsys, "approx", str(src), "--left", "3x4",
+                        "--right", "4x3", "--terms", "3", "--epsilon", "1e-5",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 0
+        assert len(calls) == 1
+        S = calls[0]
+        assert grab(out, "condition number") == f"{condition_number(S):.12f}"
+        verdicts = [grab(out, f"precision mu=2^-{b}") for b in (11, 24)]
+        assert verdicts == ["FAIL", "PASS"]
+        for mu, verdict in zip((2.0**-11, 2.0**-24), verdicts):
+            ok = check_precision(S, PrecisionBudget(mu, 1e-5))
+            assert verdict == ("PASS" if ok else "FAIL")
 
 
 class TestParams:

@@ -8,6 +8,7 @@ import pytest
 from lsradapt import KronTerm, SeparatedMatrix, Shape, materialize
 from lsradapt.io import (
     MAGIC,
+    MemoryCapError,
     read_matrix,
     read_separated,
     write_matrix_binary,
@@ -19,6 +20,17 @@ from lsradapt.io import (
 def tricky_matrix():
     return np.array([[0.1, -1.0 / 3.0, 1e-308],
                      [1e300, -0.0, 123456789.123456789]])
+
+
+def read_peak_bytes(path, error):
+    """Peak traced allocation while ``read_matrix(path)`` raises ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            read_matrix(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBinaryFormat:
@@ -41,6 +53,14 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    def test_file_size_checked_before_reading(self, tmp_path):
+        # a 1x1 header followed by 2 MiB: refused from the stat, unread
+        path = tmp_path / "m.lsrb"
+        write_matrix_binary(path, np.eye(1))
+        with open(path, "ab") as fh:
+            fh.write(bytes(2**21))
+        assert read_peak_bytes(path, ValueError) < 2**20
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "m.lsrb"
         write_matrix_binary(path, np.eye(2))
@@ -58,6 +78,14 @@ class TestTextFormat:
         write_matrix_text(path, M)
         back = read_matrix(path)
         assert np.array_equal(back, M)
+
+    def test_writer_matches_per_value_repr(self, tmp_path):
+        M = tricky_matrix()
+        path = tmp_path / "m.txt"
+        write_matrix_text(path, M)
+        want = "2 3\n" + "".join(
+            " ".join(repr(float(v)) for v in row) + "\n" for row in M)
+        assert path.read_bytes() == want.encode("ascii")
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -91,19 +119,23 @@ class TestTextFormat:
         path = tmp_path / "m.txt"
         path.write_text("4096 4096\n1 2\n")
         assert path.stat().st_size == 14
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError):
-                read_matrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert read_peak_bytes(path, ValueError) < 2**20
 
     def test_tightest_file_still_reads(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("2 2\n1 2\n3 4")
         assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("writer", [write_matrix_text, write_matrix_binary])
+def test_memory_cap_checked_before_allocating(tmp_path, monkeypatch, writer):
+    # a well-formed 400x400 file needs 1.22 MiB, over a 1 MiB cap
+    path = tmp_path / "m"
+    writer(path, np.zeros((400, 400)))
+    monkeypatch.setenv("LSR_MEM_CAP_MB", "1")
+    assert read_peak_bytes(path, MemoryCapError) < 2**20
+    monkeypatch.setenv("LSR_MEM_CAP_MB", "2")
+    assert np.array_equal(read_matrix(path), np.zeros((400, 400)))
 
 
 class TestManifest:

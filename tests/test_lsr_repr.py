@@ -8,6 +8,7 @@ hand-worked small cases.
 import numpy as np
 import pytest
 
+import lsradapt.lsr_repr
 from lsradapt import (
     KronTerm,
     PrecisionBudget,
@@ -16,6 +17,7 @@ from lsradapt import (
     apply,
     check_precision,
     condition_number,
+    diagnose,
     factor_vector,
     from_rank_decomposition,
     kron,
@@ -140,6 +142,34 @@ class TestCheckPrecision:
         assert check_precision(S, PrecisionBudget(MU_16BIT, eps)) is True
 
 
+class TestDiagnose:
+    def test_matches_wrappers_with_one_materialization_each(self, monkeypatch):
+        g = np.random.default_rng(28)
+        S = random_separated(g, Shape(6, 6), 3, (2, 3), (3, 2))
+        budgets = [PrecisionBudget(MU_16BIT, 1.0),
+                   PrecisionBudget(MU_16BIT, 1e-9)]
+        calls = []
+        original = lsradapt.lsr_repr.materialize
+        monkeypatch.setattr(lsradapt.lsr_repr, "materialize",
+                            lambda S: calls.append(S) or original(S))
+        dense, gamma, verdicts = diagnose(S, budgets)
+        assert len(calls) == 1
+        assert np.array_equal(dense, original(S))
+        assert verdicts == [True, False]
+        calls.clear()
+        assert condition_number(S) == gamma
+        assert len(calls) == 1
+        for budget, verdict in zip(budgets, verdicts):
+            calls.clear()
+            assert check_precision(S, budget) is verdict
+            assert len(calls) == 1
+
+    def test_zero_matrix_is_error(self):
+        with pytest.raises(ZeroDivisionError):
+            diagnose(SeparatedMatrix(Shape(2, 2)),
+                     [PrecisionBudget(1e-3, 1.0)])
+
+
 class TestNormalizeTerms:
     def test_folds_magnitudes_into_weight(self):
         S = SeparatedMatrix(Shape(4, 4), [KronTerm(
@@ -247,6 +277,29 @@ class TestTruncatedSvd:
         err = np.linalg.norm(M - U @ np.diag(sigma) @ V.T)
         tail = np.sqrt(np.sum(all_sigma[k:] ** 2))
         assert abs(err - tail) <= 1e-10 * tail
+
+    @pytest.mark.parametrize("rows, cols, rank, k", [
+        (40, 12, 12, 5),    # tall
+        (12, 40, 12, 5),    # wide
+        (15, 15, 15, 6),    # square
+        (40, 12, 3, 6),     # tall, rank-deficient: zero singular values kept
+        (12, 40, 3, 6),     # wide, rank-deficient
+        (9, 4, 0, 2),       # zero matrix
+    ])
+    def test_contract_against_jacobi_oracle(self, rows, cols, rank, k):
+        g = np.random.default_rng(1000 * rows + 10 * cols + rank)
+        M = g.normal(size=(rows, rank)) @ g.normal(size=(rank, cols))
+        U, sigma, V = truncated_svd(M, k)
+        assert (U.shape, sigma.shape, V.shape) == ((rows, k), (k,), (cols, k))
+        all_sigma = jacobi_singular_values(M)
+        assert np.max(np.abs(sigma - all_sigma[:k])) <= 1e-10 * all_sigma[0]
+        assert np.all(sigma >= 0.0) and np.all(np.diff(sigma) <= 0.0)
+        assert np.max(np.abs(U.T @ U - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-10
+        err = np.linalg.norm(M - U @ np.diag(sigma) @ V.T)
+        tail = np.sqrt(np.sum(all_sigma[k:] ** 2))
+        # a rank below k leaves a zero tail: compare on sigma_max's scale
+        assert abs(err - tail) <= 1e-10 * (tail if rank > k else all_sigma[0])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
