@@ -21,19 +21,17 @@ contraction also runs over k (``_kron_sum``).
 
 Gradients are hand-derived.  For a batch X (n x w2) with output
 gradients G = dL/dY (n x w1), let U = rows of B_sum x and H = rows of
-A_sum^T g.  The dense gradients of the two sums are the batch sums
+A_sum^T g.  Then dX = G W + alpha * H B_sum (one row per sample), and the
+dense gradients of the two sums are the batch sums
 
     dA_sum = alpha * G^T U    (w1 x r)      dB_sum = alpha * H^T X    (r x w2)
 
-and, with the column-major unvec shorthands G_i = unvec(g_i),
-U_i = unvec(u_i), H_i = unvec(h_i), X_i = unvec(x_i), the factor
-gradients are their projections onto each Kronecker term:
+Under the rearrangement R[(i, j), (a, b)] = D[(i, a), (j, b)] of a dense
+D (Van Loan & Pitsianis), sum_k P[k] (x) Q[k] is the rank-s product
+p^T q of the row-major flattened stacks p (s x |P[k]|) and q, so with R
+taken from dA_sum or dB_sum every term's gradient is one product per stack:
 
-    dA1[k] = alpha * sum_i G_i^T A2[k] U_i
-    dA2[k] = alpha * sum_i G_i A1[k] U_i^T
-    dB1[k] = alpha * sum_i H_i^T B2[k] X_i
-    dB2[k] = alpha * sum_i H_i B1[k] X_i^T
-    dx_i   = W^T g_i + alpha * B_sum^T h_i    (one row per sample)
+    dP = q R^T      dQ = p R      (for (A1, A2) and for (B1, B2))
 
 A plain low-rank adapter (``LoraLayer``, ``W x + alpha * A (B x)``) is
 the comparison baseline.  Both layers share one interface, so callers
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, as_matrix, kron
+from .kron_core import Matrix, _dense_kron_sum, as_matrix
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -145,13 +143,8 @@ class LsrAdaptLayer:
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
         """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
-        p = self.plan
-        a_sum = np.zeros((p.w1, p.r))
-        b_sum = np.zeros((p.r, p.w2))
-        for k in range(self.s):
-            a_sum += kron(self.A1[k], self.A2[k])
-            b_sum += kron(self.B1[k], self.B2[k])
-        return a_sum, b_sum
+        return (_dense_kron_sum(self.A1, self.A2),
+                _dense_kron_sum(self.B1, self.B2))
 
     # module functions are looked up per call, so wrappers set on them
     # see method calls too
@@ -298,18 +291,14 @@ def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
 
 def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
     """Gradients of <D, sum_k F1[k] (x) F2[k]> with respect to both
-    stacks, given the dense gradient D of the sum.  Entry [(i, a), (j, b)]
-    of F1[k] (x) F2[k] is F1[k][i, j] * F2[k][a, b], so each factor's
-    gradient contracts the (m1, m2, c1, c2) view of D with the other."""
+    stacks, given the dense gradient D of the sum: one product of the
+    rearranged D with each flattened stack (see the module docstring)."""
     s, m1, c1 = F1.shape
     m2, c2 = F2.shape[1:]
-    D4 = D.reshape(m1, m2, c1, c2)
-    d1 = np.empty_like(F1)
-    d2 = np.empty_like(F2)
-    for k in range(s):
-        d1[k] = np.tensordot(D4, F2[k], axes=([1, 3], [0, 1]))
-        d2[k] = np.tensordot(D4, F1[k], axes=([0, 2], [0, 1]))
-    return d1, d2
+    R = D.reshape(m1, m2, c1, c2).transpose(0, 2, 1, 3).reshape(
+        m1 * c1, m2 * c2)
+    return ((F2.reshape(s, -1) @ R.T).reshape(F1.shape),
+            (F1.reshape(s, -1) @ R).reshape(F2.shape))
 
 
 def backward(layer: LsrAdaptLayer, x, g):
@@ -328,21 +317,17 @@ def backward(layer: LsrAdaptLayer, x, g):
     if G.shape[0] != n:
         raise ValueError(f"x has {n} rows but g has {G.shape[0]}")
     alpha = layer.alpha
-    dx = G @ layer.W
-    if alpha == 0.0:
-        grads = {k: np.zeros_like(v) for k, v in layer.params.items()}
-    else:
-        U = _apply_b(layer, X)
-        # rows of A_sum^T g and B_sum^T h: the same kernel on the
-        # factor-wise transposed stacks
-        H = _kron_sum(layer.A1.transpose(0, 2, 1), layer.A2.transpose(0, 2, 1),
-                      G.reshape(n, p.a1, p.a2)).reshape(n, p.r)
-        dA1, dA2 = _project(alpha * (G.T @ U), layer.A1, layer.A2)
-        dB1, dB2 = _project(alpha * (H.T @ X), layer.B1, layer.B2)
-        grads = {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}
-        dx += alpha * _kron_sum(
-            layer.B1.transpose(0, 2, 1), layer.B2.transpose(0, 2, 1),
-            H.reshape(n, p.r1, p.r2)).reshape(n, p.w2)
+    U = _apply_b(layer, X)
+    # rows of A_sum^T g and B_sum^T h: the same kernel on the factor-wise
+    # transposed stacks
+    H = _kron_sum(layer.A1.transpose(0, 2, 1), layer.A2.transpose(0, 2, 1),
+                  G.reshape(n, p.a1, p.a2)).reshape(n, p.r)
+    dA1, dA2 = _project(alpha * (G.T @ U), layer.A1, layer.A2)
+    dB1, dB2 = _project(alpha * (H.T @ X), layer.B1, layer.B2)
+    dx = G @ layer.W + alpha * _kron_sum(
+        layer.B1.transpose(0, 2, 1), layer.B2.transpose(0, 2, 1),
+        H.reshape(n, p.r1, p.r2)).reshape(n, p.w2)
+    grads = {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}
     return grads, dx.reshape(-1) if single else dx
 
 
@@ -396,10 +381,7 @@ def lora_backward(layer: LoraLayer, x, g):
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:
     """Expand the update into s^2 explicit Kronecker terms via the mixed
     product: A_sum @ B_sum = sum_{k,j} (A1[k] B1[j]) (x) (A2[k] B2[j])."""
-    p = layer.plan
-    terms = []
-    for k in range(layer.s):
-        for j in range(layer.s):
-            terms.append(KronTerm(1.0, [layer.A1[k] @ layer.B1[j],
-                                        layer.A2[k] @ layer.B2[j]]))
-    return SeparatedMatrix(Shape(p.w1, p.w2), terms)
+    terms = [KronTerm(1.0, [layer.A1[k] @ layer.B1[j],
+                            layer.A2[k] @ layer.B2[j]])
+             for k in range(layer.s) for j in range(layer.s)]
+    return SeparatedMatrix(Shape(layer.plan.w1, layer.plan.w2), terms)

@@ -42,6 +42,7 @@ def _parse_shape(text: str) -> Shape:
 
 
 def cmd_approx(args) -> int:
+    io.mem_cap_bytes()  # a malformed cap is a usage error, before any read
     try:
         M = io.read_matrix(args.input)
     except io.MemoryCapError as exc:
@@ -195,6 +196,7 @@ def _median_ns(fn, repeats: int) -> float:
 
 
 def cmd_bench(args) -> int:
+    cap = io.mem_cap_bytes()
     g = rng_stream(args.seed, "bench")
     layer = verify.random_layer(g, args.w1, args.w2, args.r, args.s)
     plan = layer.plan
@@ -202,12 +204,12 @@ def cmd_bench(args) -> int:
 
     free_ns = _median_ns(lambda: adapter.forward(layer, x), args.repeats)
     delta_bytes = args.w1 * args.w2 * 8
-    if delta_bytes <= io.mem_cap_bytes():
+    if delta_bytes <= cap:
         weff = layer.W + layer.alpha * adapter.materialize_delta(layer)
         dense_ns = f"{_median_ns(lambda: weff @ x, args.repeats):.0f}"
     else:
         dense_ns = (f"skipped (needs {delta_bytes / 2**20:.0f} MiB, cap "
-                    f"{io.mem_cap_bytes() / 2**20:.0f} MiB)")
+                    f"{cap / 2**20:.0f} MiB)")
 
     mfree_flops = args.s * (
         apply_kron2_flops((plan.r1, plan.b1), (plan.r2, plan.b2))

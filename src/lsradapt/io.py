@@ -16,6 +16,7 @@ Both matrix readers refuse a header whose ``rows*cols`` float64 values
 exceed ``LSR_MEM_CAP_MB`` (``MemoryCapError``) before they allocate.
 """
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -38,7 +39,15 @@ class MemoryCapError(ValueError):
 
 
 def mem_cap_bytes() -> float:
-    return float(os.environ.get(MEM_CAP_ENV, DEFAULT_MEM_CAP_MB)) * 2**20
+    """The cap in bytes; refuses a value that is not a finite MiB >= 0."""
+    text = os.environ.get(MEM_CAP_ENV, str(DEFAULT_MEM_CAP_MB))
+    try:
+        cap = float(text)
+    except ValueError:
+        cap = math.nan
+    if not 0 <= cap < math.inf:
+        raise ValueError(f"{MEM_CAP_ENV}={text!r} is not a finite MiB >= 0")
+    return cap * 2**20
 
 
 def _check_mem_cap(path, rows: int, cols: int) -> None:

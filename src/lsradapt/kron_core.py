@@ -99,6 +99,16 @@ def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
     return Y.reshape(-1, order="F")
 
 
+def _dense_kron_sum(P: np.ndarray, Q: np.ndarray) -> Matrix:
+    # unvalidated sum_k P[k] (x) Q[k]: the rank-s product of the flattened
+    # stacks holds entry [(i, a), (j, b)] of the sum at [(i, j), (a, b)]
+    s, pr, pc = P.shape
+    qr, qc = Q.shape[1:]
+    R = P.reshape(s, pr * pc).T @ Q.reshape(s, qr * qc)
+    return R.reshape(pr, pc, qr, qc).transpose(0, 2, 1, 3).reshape(
+        pr * qr, pc * qc)
+
+
 def apply_kron2(P, Q, x) -> Vector:
     """Compute (P (x) Q) @ x without materializing the Kronecker product.
 

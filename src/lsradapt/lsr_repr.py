@@ -15,6 +15,7 @@ construction and evaluation, this module provides:
   (``from_rank_decomposition``).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +47,8 @@ class KronTerm:
         facs = tuple(as_matrix(f, f"factor {i}") for i, f in enumerate(factors))
         if not facs:
             raise ValueError("a term needs at least one factor")
+        if not math.isfinite(float(weight)):
+            raise ValueError(f"term weight {weight} is not finite")
         object.__setattr__(self, "weight", float(weight))
         object.__setattr__(self, "factors", facs)
 
@@ -117,9 +120,7 @@ def apply(S: SeparatedMatrix, x) -> Vector:
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
         raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
-    if not S.terms:
-        return np.zeros(S.shape.rows)
-    if S.terms[0].order != 2:
+    if S.terms and S.terms[0].order != 2:
         return materialize(S) @ x
     out = np.zeros(S.shape.rows)
     for t in S.terms:
@@ -325,8 +326,8 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
         # u v^T - u^ v^^T = u^ (v - v^)^T + (u - u^) v^T; evaluating the
         # norm through the small differences avoids the cancellation the
         # direct inner-product expansion suffers when the error is tiny
-        u_hat = _kron_chain(u_parts)
-        v_hat = _kron_chain(v_parts)
+        u_hat = functools.reduce(np.kron, u_parts)
+        v_hat = functools.reduce(np.kron, v_parts)
         du = u - u_hat
         dv = v - v_hat
         err_sq = (np.dot(u_hat, u_hat) * np.dot(dv, dv)
@@ -334,10 +335,3 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
                   + np.dot(du, du) * np.dot(v, v))
         errors.append(math.sqrt(max(err_sq, 0.0)))
     return SeparatedMatrix(shape, terms), errors
-
-
-def _kron_chain(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.kron(out, p)
-    return out

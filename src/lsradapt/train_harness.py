@@ -26,7 +26,7 @@ import numpy as np
 
 from . import adapter
 from .adapter import ShapePlan
-from .kron_core import Matrix, Shape, kron
+from .kron_core import Matrix, Shape, _dense_kron_sum
 from .rng import rng_stream
 
 # rows of the update formed at a time by recovery_error
@@ -125,6 +125,15 @@ class CompareReport:
     param_ratio: float
 
 
+def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
+    """(s, *shape) stacks, filled term by term with one draw per shape."""
+    stacks = [np.empty((s, *shape)) for shape in shapes]
+    for k in range(s):
+        for stack in stacks:
+            stack[k] = rng.normal(size=stack.shape[1:])
+    return stacks
+
+
 def _plant_delta(plant, w1: int, w2: int, rng) -> Matrix:
     if isinstance(plant, DensePlant):
         return rng.normal(size=(w1, w2))
@@ -138,22 +147,15 @@ def _plant_delta(plant, w1: int, w2: int, rng) -> Matrix:
         if lr * rr != w1 or lc * rc != w2:
             raise ValueError(
                 f"plant shapes {lr}x{lc} (x) {rr}x{rc} do not give {w1}x{w2}")
-        delta = np.zeros((w1, w2))
-        for _ in range(plant.s):
-            delta += kron(rng.normal(size=(lr, lc)), rng.normal(size=(rr, rc)))
-        return delta
+        return _dense_kron_sum(*_draw_stacks(rng, plant.s,
+                                             [plant.left, plant.right]))
     if isinstance(plant, LsrProductPlant):
         p = plant.plan
         if p.w1 != w1 or p.w2 != w2:
             raise ValueError(f"plan is {p.w1}x{p.w2}, task wants {w1}x{w2}")
-        a_sum = np.zeros((p.w1, p.r))
-        b_sum = np.zeros((p.r, p.w2))
-        for _ in range(plant.s):
-            a_sum += kron(rng.normal(size=(p.a1, p.r1)),
-                          rng.normal(size=(p.a2, p.r2)))
-            b_sum += kron(rng.normal(size=(p.r1, p.b1)),
-                          rng.normal(size=(p.r2, p.b2)))
-        return a_sum @ b_sum
+        A1, A2, B1, B2 = _draw_stacks(rng, plant.s, [
+            (p.a1, p.r1), (p.a2, p.r2), (p.r1, p.b1), (p.r2, p.b2)])
+        return _dense_kron_sum(A1, A2) @ _dense_kron_sum(B1, B2)
     raise ValueError(f"unknown plant {plant!r}")
 
 

@@ -28,7 +28,10 @@ from lsradapt import (
     train,
 )
 
-from oracles import central_diff, naive_kron, rel_err
+from lsradapt.adapter import _project
+from lsradapt.kron_core import _dense_kron_sum
+
+from oracles import _kron_sum_grads, central_diff, naive_kron, rel_err
 
 
 def random_layer(g, w1, w2, r, s, alpha=1.0):
@@ -428,6 +431,26 @@ class TestLoraBatched:
         assert rel_err(grads["B"], sum(s[0]["B"] for s in singles)) <= 1e-12
         for row, single in zip(dx, singles):
             assert rel_err(row, single[1]) <= 1e-12
+
+
+# (m1, c1, m2, c2): F1[k] is m1 x c1 and F2[k] is m2 x c2; the last two
+# are the A side of a w1 = 7 layer and the B side of a w2 = 13 layer,
+# whose prime dimensions split as 7x1 and 13x1
+@pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 3, 3, 3), (7, 2, 1, 2),
+                                  (2, 13, 2, 1)],
+                         ids=["rect", "square", "prime7", "prime13"])
+@pytest.mark.parametrize("s", [1, 5])
+def test_stacked_kron_algebra_matches_oracles(s, dims):
+    m1, c1, m2, c2 = dims
+    g = np.random.default_rng(90)
+    F1 = g.normal(size=(s, m1, c1))
+    F2 = g.normal(size=(s, m2, c2))
+    want = sum(naive_kron(F1[k], F2[k]) for k in range(s))
+    assert rel_err(_dense_kron_sum(F1, F2), want) <= 1e-12
+    D = g.normal(size=(m1 * m2, c1 * c2))
+    for got, ref in zip(_project(D, F1, F2), _kron_sum_grads(D, F1, F2)):
+        assert got.shape == ref.shape
+        assert rel_err(got, ref) <= 1e-12
 
 
 def _interface_layer(kind, g):

@@ -19,7 +19,7 @@ from lsradapt import (
     materialize,
 )
 from lsradapt.cli import build_parser, main
-from lsradapt.io import read_separated, write_matrix_text
+from lsradapt.io import read_separated, write_matrix_binary, write_matrix_text
 
 
 def run(capsys, *args):
@@ -32,6 +32,35 @@ def grab(out, label):
         if line.startswith(label):
             return line[len(label):].split()[-1]
     raise AssertionError(f"no line starting with {label!r} in:\n{out}")
+
+
+def _binary_bytes(path, version=1):
+    """A well-formed 2x2 binary matrix file's bytes, with the given
+    version byte."""
+    write_matrix_binary(path, np.arange(4.0).reshape(2, 2))
+    data = bytearray(path.read_bytes())
+    data[4] = version
+    return bytes(data)
+
+
+@pytest.mark.parametrize("cap", ["nan", "abc", "-1", "inf"])
+@pytest.mark.parametrize("command", ["approx", "bench"])
+def test_malformed_memory_cap_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             command, cap):
+    src = tmp_path / "m.txt"
+    write_matrix_text(src, np.eye(4))
+    reads = []
+    monkeypatch.setattr(lsradapt.io, "read_matrix", reads.append)
+    monkeypatch.setenv("LSR_MEM_CAP_MB", cap)
+    args = {"approx": ["approx", str(src), "--left", "2x2", "--right", "2x2",
+                       "--terms", "1", "--out", str(tmp_path / "dec")],
+            "bench": ["bench", "--w1", "4", "--w2", "4", "--r", "1",
+                      "--s", "1", "--repeats", "1"]}[command]
+    code, out = run(capsys, *args)
+    assert code == 2
+    assert "LSR_MEM_CAP_MB" in out
+    assert reads == []
+    assert not (tmp_path / "dec").exists()
 
 
 class TestApprox:
@@ -80,6 +109,23 @@ class TestApprox:
                       "--left", "2x2", "--right", "2x2", "--terms", "1",
                       "--out", str(tmp_path))
         assert code == 3
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_text("2 x\n1 2\n3 4\n"),
+        lambda path: path.write_text("2 2\n1.0 2.0\n3.0\n"),
+        lambda path: path.write_bytes(_binary_bytes(path)[:-8]),
+        lambda path: path.write_bytes(_binary_bytes(path, version=2)),
+    ], ids=["text-bad-header", "text-short-row", "binary-truncated",
+            "binary-bad-version"])
+    def test_malformed_input_is_io_error(self, tmp_path, capsys, make):
+        src = tmp_path / "m.in"
+        make(src)
+        code, out = run(capsys, "approx", str(src), "--left", "1x2",
+                        "--right", "2x1", "--terms", "1",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 3
+        assert "cannot read" in out
+        assert not (tmp_path / "dec").exists()
 
     def test_nonconforming_shapes_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "m.txt"

@@ -197,9 +197,11 @@ def _cut_after_last_term(lines):
     _replace_last("weight", []), _replace_last("weight", ["weight"]),
     _replace_last("shape", []), _cut_after_last_term,
     lambda lines: lines + ["garbage line"],
+    _replace_last("weight", ["weight nan"]),
+    _replace_last("weight", ["weight inf"]),
 ], ids=["terms-missing", "terms-bare", "term-missing", "term-bare",
         "weight-missing", "weight-bare", "shape-missing", "cut-after-term",
-        "trailing-line"])
+        "trailing-line", "weight-nan", "weight-inf"])
 def test_truncated_manifest_is_value_error(tmp_path, edit):
     path, lines = _manifest_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")

@@ -25,7 +25,7 @@ from lsradapt import (
 
 from lsradapt.train_harness import recovery_error
 
-from oracles import dense_adam_recovery, jacobi_singular_values
+from oracles import _stream, dense_adam_recovery, jacobi_singular_values
 
 
 class TestGenTask:
@@ -72,6 +72,30 @@ class TestGenTask:
         noisy = gen_task(6, 5, DensePlant(), 8, 0.5, seed=2)
         assert not np.array_equal(clean.targets, noisy.targets)
         assert np.array_equal(clean.inputs, noisy.inputs)
+
+    def test_kron_plants_keep_draw_order(self):
+        # per term: the left then the right factor (KronSumPlant), or A1,
+        # A2, B1, B2 (LsrProductPlant), all from the "task-plant" stream
+        plan = plan_shapes(12, 10, 4)
+        cases = [
+            (KronSumPlant(3, Shape(4, 5), Shape(3, 2)),
+             [[(4, 5), (3, 2)]]),
+            (LsrProductPlant(3, plan),
+             [[(plan.a1, plan.r1), (plan.a2, plan.r2)],
+              [(plan.r1, plan.b1), (plan.r2, plan.b2)]]),
+        ]
+        for plant, sides in cases:
+            g = _stream(21, "task-plant")
+            sums = [0.0 for _ in sides]
+            for _ in range(plant.s):
+                for i, (left, right) in enumerate(sides):
+                    sums[i] = sums[i] + np.kron(g.normal(size=left),
+                                                g.normal(size=right))
+            want = sums[0] if len(sums) == 1 else sums[0] @ sums[1]
+            want = want / np.linalg.norm(want)
+            task = gen_task(12, 10, plant, 0, 0.0, seed=21)
+            err = np.linalg.norm(task.delta_star - want) / np.linalg.norm(want)
+            assert err <= 1e-12, plant
 
     def test_nonconforming_plant(self):
         with pytest.raises(ValueError):
