@@ -17,7 +17,7 @@ u~ = u.reshape(r1, r2)), the vec identity (see ``kron_core``) becomes
 
 so each side is one GEMM against the stacked second factors followed by
 one batched matmul against the side-by-side first factors, whose
-contraction also runs over k (``_kron_sum``).
+contraction also runs over k (``kron_core._kron_sum``).
 
 Gradients are hand-derived.  For a batch X (n x w2) with output
 gradients G = dL/dY (n x w1), let U = rows of B_sum x and H = rows of
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, _dense_kron_sum, as_matrix
+from .kron_core import Matrix, _dense_kron_sum, _kron_sum, as_matrix
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -236,23 +236,6 @@ def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
     return b, single
 
 
-def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """sum_k P[k] @ Z[i] @ Q[k]^T for every i.
-
-    P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
-    (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
-    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T;
-    the side-by-side P then contracts over (k, row) in one batched
-    matmul, so the sum over k needs no pass of its own.
-    """
-    s, pr, pc = P.shape
-    qr, qc = Q.shape[1:]
-    n = Z.shape[0]
-    T = Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T
-    T = T.reshape(n, pc, s, qr).transpose(0, 2, 1, 3).reshape(n, s * pc, qr)
-    return P.transpose(1, 0, 2).reshape(pr, s * pc) @ T
-
-
 def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
     """y = W x + alpha * A_sum (B_sum x) for every row of x, matrix-free.
 
@@ -381,7 +364,8 @@ def lora_backward(layer: LoraLayer, x, g):
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:
     """Expand the update into s^2 explicit Kronecker terms via the mixed
     product: A_sum @ B_sum = sum_{k,j} (A1[k] B1[j]) (x) (A2[k] B2[j])."""
-    terms = [KronTerm(1.0, [layer.A1[k] @ layer.B1[j],
-                            layer.A2[k] @ layer.B2[j]])
-             for k in range(layer.s) for j in range(layer.s)]
-    return SeparatedMatrix(Shape(layer.plan.w1, layer.plan.w2), terms)
+    p = layer.plan
+    P = (layer.A1[:, None] @ layer.B1).reshape(-1, p.a1, p.b1)
+    Q = (layer.A2[:, None] @ layer.B2).reshape(-1, p.a2, p.b2)
+    return SeparatedMatrix(Shape(p.w1, p.w2),
+                           [KronTerm(1.0, pq) for pq in zip(P, Q)])

@@ -165,6 +165,8 @@ def read_separated(manifest_path) -> SeparatedMatrix:
 
     rows, cols = (int(v) for v in expect(1, "shape", 2))
     n_terms = int(expect(2, "terms", 1)[0])
+    if n_terms < 0:
+        raise ValueError(f"{manifest_path}: negative term count {n_terms}")
     base = manifest_path.parent
     root = base.resolve()
 
@@ -179,7 +181,9 @@ def read_separated(manifest_path) -> SeparatedMatrix:
     terms = []
     i = 3
     for k in range(n_terms):
-        expect(i, "term", 1)
+        if expect(i, "term", 1) != [str(k)]:
+            raise ValueError(f"{manifest_path}: expected 'term {k}' on line "
+                             f"{i + 1}, got {lines[i]!r}")
         weight = float(expect(i + 1, "weight", 1)[0])
         i += 2
         factors = []

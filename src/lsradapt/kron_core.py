@@ -8,7 +8,9 @@ Conventions fixed here and relied on everywhere else:
   ``(P (x) Q) vec(X) = vec(Q X P^T)`` hold without any transpose juggling.
 
 That identity is what lets ``apply_kron2`` evaluate a two-factor Kronecker
-operator without ever materializing it.
+operator without ever materializing it.  The private ``_kron_sum`` and
+``_dense_kron_sum`` are the shared kernels that apply and form every stacked
+Kronecker sum ``sum_k P[k] (x) Q[k]`` in the package.
 """
 
 from typing import NamedTuple
@@ -88,7 +90,7 @@ def unvec(x, shape: Shape) -> Matrix:
 
 
 def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
-    # unvalidated hot path shared with the adapter kernels
+    # unvalidated core of apply_kron2
     pr, pc = P.shape
     qr, qc = Q.shape
     X = x.reshape((qc, pc), order="F")
@@ -107,6 +109,23 @@ def _dense_kron_sum(P: np.ndarray, Q: np.ndarray) -> Matrix:
     R = P.reshape(s, pr * pc).T @ Q.reshape(s, qr * qc)
     return R.reshape(pr, pc, qr, qc).transpose(0, 2, 1, 3).reshape(
         pr * qr, pc * qc)
+
+
+def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sum_k P[k] @ Z[i] @ Q[k]^T for every i.
+
+    P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
+    (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
+    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T;
+    the side-by-side P then contracts over (k, row) in one batched
+    matmul, so the sum over k needs no pass of its own.
+    """
+    s, pr, pc = P.shape
+    qr, qc = Q.shape[1:]
+    n = Z.shape[0]
+    T = Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T
+    T = T.reshape(n, pc, s, qr).transpose(0, 2, 1, 3).reshape(n, s * pc, qr)
+    return P.transpose(1, 0, 2).reshape(pr, s * pc) @ T
 
 
 def apply_kron2(P, Q, x) -> Vector:

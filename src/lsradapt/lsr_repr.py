@@ -25,10 +25,10 @@ from .kron_core import (
     Matrix,
     Shape,
     Vector,
+    _dense_kron_sum,
+    _kron_sum,
     as_matrix,
     as_vector,
-    kron_multi,
-    _apply2,
 )
 
 
@@ -69,15 +69,17 @@ class SeparatedMatrix:
         if shape.rows < 1 or shape.cols < 1:
             raise ValueError(f"shape must be positive, got {shape}")
         terms = tuple(terms)
-        orders = {t.order for t in terms}
-        if len(orders) > 1:
-            raise ValueError(f"terms disagree on factor count: {sorted(orders)}")
-        for k, t in enumerate(terms):
-            rows = math.prod(f.shape[0] for f in t.factors)
-            cols = math.prod(f.shape[1] for f in t.factors)
+        shapes = [[f.shape for f in t.factors] for t in terms]
+        for k, fs in enumerate(shapes):
+            if fs != shapes[0]:
+                raise ValueError(f"term {k} has factor shapes {fs}, but "
+                                 f"term 0 has {shapes[0]}")
+        if shapes:
+            rows = math.prod(r for r, _ in shapes[0])
+            cols = math.prod(c for _, c in shapes[0])
             if (rows, cols) != (shape.rows, shape.cols):
                 raise ValueError(
-                    f"term {k} materializes to {rows}x{cols}, expected "
+                    f"terms materialize to {rows}x{cols}, expected "
                     f"{shape.rows}x{shape.cols}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "terms", terms)
@@ -102,39 +104,50 @@ class PrecisionBudget:
             raise ValueError("epsilon must be positive")
 
 
+def _stacks(S: SeparatedMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (P, Q) with materialize(S) = sum_k P[k] (x) Q[k]: P is the
+    weighted batched Kronecker product of all factors but the last, Q 1x1
+    ones for one-factor terms; no terms give stacks of length zero."""
+    if not S.terms:
+        return np.zeros((0, *S.shape)), np.zeros((0, 1, 1))
+    w = np.array([t.weight for t in S.terms])
+    P, *rest = [np.array(f) for f in zip(*(t.factors for t in S.terms))]
+    for F in rest[:-1]:
+        P = np.einsum("kij,kab->kiajb", P, F).reshape(
+            len(w), P.shape[1] * F.shape[1], -1)
+    return w[:, None, None] * P, rest[-1] if rest else np.ones((len(w), 1, 1))
+
+
 def materialize(S: SeparatedMatrix) -> Matrix:
     """Dense sum of all weighted Kronecker terms (zero matrix if empty)."""
-    out = np.zeros((S.shape.rows, S.shape.cols))
-    for t in S.terms:
-        out += t.weight * kron_multi(t.factors)
-    return out
+    return _dense_kron_sum(*_stacks(S))
 
 
 def apply(S: SeparatedMatrix, x) -> Vector:
-    """Matrix-free materialize(S) @ x for two-factor terms.
-
-    Representations with a factor count other than 2 fall back to
-    materialize-then-multiply.  x is validated once here; the factors
-    were validated when their ``KronTerm`` was built.
-    """
+    """Matrix-free materialize(S) @ x for every factor count (``_kron_sum``
+    on the stacks of ``_stacks``).  x is validated once here; the factors
+    were validated when their ``KronTerm`` was built."""
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
         raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
-    if S.terms and S.terms[0].order != 2:
-        return materialize(S) @ x
-    out = np.zeros(S.shape.rows)
-    for t in S.terms:
-        out += t.weight * _apply2(t.factors[0], t.factors[1], x)
-    return out
+    P, Q = _stacks(S)
+    return _kron_sum(P, Q, x.reshape(1, P.shape[2], Q.shape[2])).reshape(-1)
 
 
 def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
     """Materialize S once and return the dense matrix, the condition number
     gamma (``condition_number``) and, per ``PrecisionBudget``, whether the
-    precision rule ``gamma * mu * ||M||_F <= epsilon`` holds (inclusive)."""
+    precision rule ``gamma * mu * ||M||_F <= epsilon`` holds (inclusive).
+
+    The materialization counts as zero, and gamma as undefined, when its
+    Frobenius norm is within materialize's own round-off bound
+    ``(s + order) * eps * sum_k |w_k| prod_i ||F_ki||_F``: terms that cancel
+    exactly in exact arithmetic leave only that residue."""
     dense = materialize(S)
     fro = float(np.linalg.norm(dense))
-    if fro == 0.0:
+    bound = sum((len(S.terms) + t.order) * abs(t.weight)
+                * math.prod(map(np.linalg.norm, t.factors)) for t in S.terms)
+    if fro <= np.finfo(np.float64).eps * bound:
         raise ZeroDivisionError(
             "condition number undefined: representation materializes to the "
             "zero matrix (terms cancel or are empty)")

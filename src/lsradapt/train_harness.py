@@ -135,6 +135,8 @@ def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
 
 
 def _plant_delta(plant, w1: int, w2: int, rng) -> Matrix:
+    if isinstance(plant, (KronSumPlant, LsrProductPlant)) and plant.s < 1:
+        raise ValueError(f"plant terms {plant.s} out of range")
     if isinstance(plant, DensePlant):
         return rng.normal(size=(w1, w2))
     if isinstance(plant, LowRankPlant):

@@ -255,6 +255,20 @@ class TestTrain:
                       "--out", str(tmp_path / "run"))
         assert code == 2
 
+    @pytest.mark.parametrize("terms", ["0", "-1"])
+    @pytest.mark.parametrize("plant", [
+        ["lsr-product"],
+        ["kron-sum", "--plant-left", "3x4", "--plant-right", "4x3"],
+    ], ids=["lsr-product", "kron-sum"])
+    def test_plant_without_terms_is_usage_error(self, tmp_path, capsys,
+                                                plant, terms):
+        code, out = run(capsys, "train", "--w1", "12", "--w2", "12",
+                        "--samples", "8", "--steps", "5", "--plant", *plant,
+                        "--plant-terms", terms, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "plant terms" in out
+        assert not list(tmp_path.iterdir())
+
 
 class TestBench:
     def test_table_and_flop_ratio(self, capsys):

@@ -191,6 +191,15 @@ def _cut_after_last_term(lines):
     return lines[:i + 1]
 
 
+def _negative_count_no_terms(lines):
+    return lines[:2] + ["terms -3"]
+
+
+def _swap_last_factors(lines):
+    """Term 1 becomes 3x2 (x) 2x3 next to term 0's 2x3 (x) 3x2."""
+    return lines[:-2] + [lines[-1], lines[-2]]
+
+
 @pytest.mark.parametrize("edit", [
     _replace_last("terms", []), _replace_last("terms", ["terms"]),
     _replace_last("term", []), _replace_last("term", ["term"]),
@@ -199,9 +208,12 @@ def _cut_after_last_term(lines):
     lambda lines: lines + ["garbage line"],
     _replace_last("weight", ["weight nan"]),
     _replace_last("weight", ["weight inf"]),
+    _negative_count_no_terms, _replace_last("term", ["term 7"]),
+    _swap_last_factors,
 ], ids=["terms-missing", "terms-bare", "term-missing", "term-bare",
         "weight-missing", "weight-bare", "shape-missing", "cut-after-term",
-        "trailing-line", "weight-nan", "weight-inf"])
+        "trailing-line", "weight-nan", "weight-inf", "terms-negative",
+        "term-wrong-index", "factors-swapped"])
 def test_truncated_manifest_is_value_error(tmp_path, edit):
     path, lines = _manifest_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")

@@ -5,6 +5,8 @@ materialization, a one-sided Jacobi iteration for singular values, and
 hand-worked small cases.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,56 @@ class TestApply:
             apply(S, np.ones(5))
 
 
+FACTOR_SHAPES = {
+    "one-rect": [(3, 4)],
+    "one-prime": [(7, 1)],
+    "two-rect": [(2, 3), (4, 5)],
+    "two-prime": [(7, 1), (1, 2)],
+    "three-rect": [(2, 3), (3, 1), (2, 2)],
+    "three-prime": [(1, 2), (7, 1), (2, 3)],
+}
+
+
+class TestStackedKronSum:
+    @pytest.mark.parametrize("s", [0, 1, 8])
+    @pytest.mark.parametrize("shapes", FACTOR_SHAPES.values(),
+                             ids=FACTOR_SHAPES.keys())
+    def test_matches_per_term_oracle(self, shapes, s):
+        g = np.random.default_rng(60 + s)
+        terms = [KronTerm(float(g.normal()), [g.normal(size=f) for f in shapes])
+                 for _ in range(s)]
+        rows = int(np.prod([r for r, _ in shapes]))
+        cols = int(np.prod([c for _, c in shapes]))
+        S = SeparatedMatrix(Shape(rows, cols), terms)
+        want = sum((t.weight * functools.reduce(naive_kron, t.factors)
+                    for t in terms), np.zeros((rows, cols)))
+        x = g.normal(size=cols)
+        assert materialize(S).shape == (rows, cols)
+        assert rel_err(materialize(S), want) <= 1e-12
+        assert apply(S, x).shape == (rows,)
+        assert rel_err(apply(S, x), want @ x) <= 1e-10
+
+    def test_three_factor_apply_never_materializes(self, monkeypatch):
+        g = np.random.default_rng(66)
+        S = SeparatedMatrix(Shape(12, 12), [KronTerm(
+            float(g.normal()), [g.normal(size=(2, 3)), g.normal(size=(3, 2)),
+                                g.normal(size=(2, 2))]) for _ in range(4)])
+        want = materialize(S) @ np.ones(12)
+        calls = []
+        original = lsradapt.lsr_repr.materialize
+        monkeypatch.setattr(lsradapt.lsr_repr, "materialize",
+                            lambda S: calls.append(S) or original(S))
+        assert rel_err(apply(S, np.ones(12)), want) <= 1e-10
+        assert calls == []
+
+    def test_mixed_factor_shapes_name_the_term(self):
+        g = np.random.default_rng(67)
+        with pytest.raises(ValueError, match="term 1"):
+            SeparatedMatrix(Shape(6, 6), [
+                KronTerm(1.0, [g.normal(size=(2, 3)), g.normal(size=(3, 2))]),
+                KronTerm(1.0, [g.normal(size=(3, 2)), g.normal(size=(2, 3))])])
+
+
 class TestConditionNumber:
     def test_single_unit_norm_term(self):
         g = np.random.default_rng(24)
@@ -111,6 +163,27 @@ class TestConditionNumber:
                                           KronTerm(-2.0, [F1, F2])])
         with pytest.raises(ZeroDivisionError):
             condition_number(S)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_fused_round_off_cancellation_is_error(self, order):
+        # a GEMM's fused multiply-add leaves ~eps of an exact cancellation
+        g = np.random.default_rng(29)
+        factors = [g.normal(size=(2, 2)) for _ in range(order)]
+        S = SeparatedMatrix(Shape(2**order, 2**order),
+                            [KronTerm(0.3, factors), KronTerm(-0.3, factors)])
+        with pytest.raises(ZeroDivisionError):
+            condition_number(S)
+
+    def test_near_cancellation_keeps_gamma(self):
+        g = np.random.default_rng(30)
+        F1, F2 = g.normal(size=(2, 3)), g.normal(size=(3, 2))
+        S = SeparatedMatrix(Shape(6, 6), [KronTerm(1.0, [F1, F2]),
+                                          KronTerm(-(1.0 - 1e-8), [F1, F2])])
+        dense = sum(t.weight * naive_kron(*t.factors) for t in S.terms)
+        want = np.sqrt(sum(t.weight**2 for t in S.terms)) / np.linalg.norm(dense)
+        # each side carries ~eps / 1e-8 ~ 2e-8 relative error from the
+        # cancellation itself
+        assert abs(condition_number(S) - want) <= 1e-6 * want
 
     def test_matches_direct_formula(self):
         g = np.random.default_rng(26)
