@@ -26,10 +26,10 @@ dense gradients of the two sums are the batch sums
 
     dA_sum = alpha * G^T U    (w1 x r)      dB_sum = alpha * H^T X    (r x w2)
 
-Under the rearrangement R[(i, j), (a, b)] = D[(i, a), (j, b)] of a dense
-D (Van Loan & Pitsianis), sum_k P[k] (x) Q[k] is the rank-s product
-p^T q of the row-major flattened stacks p (s x |P[k]|) and q, so with R
-taken from dA_sum or dB_sum every term's gradient is one product per stack:
+Under the Van Loan-Pitsianis rearrangement (``kron_core._rearrange``),
+sum_k P[k] (x) Q[k] is the rank-s product p^T q of the row-major
+flattened stacks p and q, so with R the rearranged dA_sum or dB_sum
+every term's gradient is one product per stack (``kron_core._project``):
 
     dP = q R^T      dQ = p R      (for (A1, A2) and for (B1, B2))
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, _dense_kron_sum, _kron_sum, as_matrix
+from .kron_core import Matrix, _dense_kron_sum, _kron_sum, _project, as_matrix
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -270,18 +270,6 @@ def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
     """Dense w1 x w2 update (without alpha): A_sum @ B_sum."""
     a_sum, b_sum = layer.update_factors()
     return a_sum @ b_sum
-
-
-def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
-    """Gradients of <D, sum_k F1[k] (x) F2[k]> with respect to both
-    stacks, given the dense gradient D of the sum: one product of the
-    rearranged D with each flattened stack (see the module docstring)."""
-    s, m1, c1 = F1.shape
-    m2, c2 = F2.shape[1:]
-    R = D.reshape(m1, m2, c1, c2).transpose(0, 2, 1, 3).reshape(
-        m1 * c1, m2 * c2)
-    return ((F2.reshape(s, -1) @ R.T).reshape(F1.shape),
-            (F1.reshape(s, -1) @ R).reshape(F2.shape))
 
 
 def backward(layer: LsrAdaptLayer, x, g):

@@ -51,23 +51,11 @@ def cmd_approx(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}")
         return EXIT_IO
-    try:
-        S = lsr_repr.nearest_kron_sum(M, args.left, args.right, args.terms)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
-    except lsr_repr.NumericalError as exc:
-        print(f"error: {exc}")
-        return EXIT_NUMERICAL
-
+    S = lsr_repr.nearest_kron_sum(M, args.left, args.right, args.terms)
     mus = {"mu=2^-11": 2.0**-11, "mu=2^-24": 2.0**-24}
     budgets = [lsr_repr.PrecisionBudget(mu, args.epsilon)
                for mu in mus.values()]
-    try:
-        approx, gamma, verdicts = lsr_repr.diagnose(S, budgets)
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}")
-        return EXIT_NUMERICAL
+    approx, gamma, verdicts = lsr_repr.diagnose(S, budgets)
     fro_err = float(np.linalg.norm(M - approx))
     norm = float(np.linalg.norm(M))
     rel_err = fro_err / norm if norm > 0 else fro_err
@@ -143,43 +131,34 @@ def _print_report(kind: str, report) -> None:
 
 
 def cmd_train(args) -> int:
-    try:
-        plant = _build_plant(args)
-        task = train_harness.gen_task(args.w1, args.w2, plant, args.samples,
-                                      args.noise_std, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
+    task = train_harness.gen_task(args.w1, args.w2, _build_plant(args),
+                                  args.samples, args.noise_std, args.seed)
     config = train_harness.OptimizerConfig(
         kind=args.optimizer, learning_rate=args.lr, momentum=args.momentum,
         beta1=args.beta1, beta2=args.beta2, eps_hat=args.eps_hat,
         steps=args.steps, batch_size=args.batch_size, seed=args.seed)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        if args.adapter == "compare":
+    if args.adapter == "compare":
+        plan = adapter.plan_shapes(args.w1, args.w2, args.r)
+        result = train_harness.compare(task, args.lora_r, plan, args.s,
+                                       config, alpha=args.alpha)
+        _write_report(Path(f"{prefix}.lora"), "lora", result.lora)
+        _write_report(Path(f"{prefix}.lsr"), "lsr", result.lsr)
+        _print_report("lora", result.lora)
+        _print_report("lsr", result.lsr)
+        print(f"param ratio (lsr/lora) {result.param_ratio!r}")
+    else:
+        if args.adapter == "lsr":
             plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-            result = train_harness.compare(task, args.lora_r, plan, args.s,
-                                           config, alpha=args.alpha)
-            _write_report(Path(f"{prefix}.lora"), "lora", result.lora)
-            _write_report(Path(f"{prefix}.lsr"), "lsr", result.lsr)
-            _print_report("lora", result.lora)
-            _print_report("lsr", result.lsr)
-            print(f"param ratio (lsr/lora) {result.param_ratio!r}")
+            layer = adapter.init(task.W, plan, args.s, alpha=args.alpha,
+                                 seed=args.seed)
         else:
-            if args.adapter == "lsr":
-                plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-                layer = adapter.init(task.W, plan, args.s, alpha=args.alpha,
-                                     seed=args.seed)
-            else:
-                layer = adapter.lora_init(task.W, args.r, alpha=args.alpha,
-                                          seed=args.seed)
-            report = train_harness.train(layer, task, config)
-            _write_report(prefix, args.adapter, report)
-            _print_report(args.adapter, report)
-    except train_harness.DivergenceError as exc:
-        print(f"error: {exc}")
-        return EXIT_DIVERGED
+            layer = adapter.lora_init(task.W, args.r, alpha=args.alpha,
+                                      seed=args.seed)
+        report = train_harness.train(layer, task, config)
+        _write_report(prefix, args.adapter, report)
+        _print_report(args.adapter, report)
     return EXIT_OK
 
 

@@ -144,29 +144,40 @@ def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path
 
 
 def read_separated(manifest_path) -> SeparatedMatrix:
+    """Read a manifest written by ``write_separated``.  Every refusal is a
+    ``ValueError`` (a ``MemoryCapError`` for an oversized factor) whose
+    message starts with the manifest path."""
     manifest_path = Path(manifest_path)
+    try:
+        return _read_manifest(manifest_path)
+    except ValueError as exc:
+        # new args rather than a new exception keep its type and traceback
+        exc.args = (f"{manifest_path}: {exc}",)
+        raise
+
+
+def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
     lines = [ln.strip() for ln in
              manifest_path.read_text(encoding="ascii").splitlines()
              if ln.strip()]
     if not lines or lines[0].split() != ["lsr-manifest", str(VERSION)]:
-        raise ValueError(f"{manifest_path}: not a supported manifest")
+        raise ValueError("not a supported manifest")
 
     def expect(i, key, count):
         """The ``count`` values of the line at index i, which must start
         with ``key``."""
         if i >= len(lines):
-            raise ValueError(f"{manifest_path}: truncated, expected '{key}' "
-                             f"on line {i + 1}")
+            raise ValueError(f"truncated, expected '{key}' on line {i + 1}")
         parts = lines[i].split()
         if parts[0] != key or len(parts) != count + 1:
-            raise ValueError(f"{manifest_path}: expected '{key}' and {count} "
-                             f"value(s) on line {i + 1}, got {lines[i]!r}")
+            raise ValueError(f"expected '{key}' and {count} value(s) on line "
+                             f"{i + 1}, got {lines[i]!r}")
         return parts[1:]
 
     rows, cols = (int(v) for v in expect(1, "shape", 2))
     n_terms = int(expect(2, "terms", 1)[0])
     if n_terms < 0:
-        raise ValueError(f"{manifest_path}: negative term count {n_terms}")
+        raise ValueError(f"negative term count {n_terms}")
     base = manifest_path.parent
     root = base.resolve()
 
@@ -174,16 +185,16 @@ def read_separated(manifest_path) -> SeparatedMatrix:
         rel = line.split(maxsplit=1)[1]
         path = base / rel
         if Path(rel).is_absolute() or not path.resolve().is_relative_to(root):
-            raise ValueError(f"{manifest_path}: factor path {rel!r} leaves "
-                             f"the manifest directory")
+            raise ValueError(f"factor path {rel!r} leaves the manifest "
+                             f"directory")
         return read_matrix(path)
 
     terms = []
     i = 3
     for k in range(n_terms):
         if expect(i, "term", 1) != [str(k)]:
-            raise ValueError(f"{manifest_path}: expected 'term {k}' on line "
-                             f"{i + 1}, got {lines[i]!r}")
+            raise ValueError(f"expected 'term {k}' on line {i + 1}, got "
+                             f"{lines[i]!r}")
         weight = float(expect(i + 1, "weight", 1)[0])
         i += 2
         factors = []
@@ -192,6 +203,6 @@ def read_separated(manifest_path) -> SeparatedMatrix:
             i += 1
         terms.append(KronTerm(weight, factors))
     if i < len(lines):
-        raise ValueError(f"{manifest_path}: unexpected line {i + 1} after the "
-                         f"last term: {lines[i]!r}")
+        raise ValueError(f"unexpected line {i + 1} after the last term: "
+                         f"{lines[i]!r}")
     return SeparatedMatrix(Shape(rows, cols), terms)

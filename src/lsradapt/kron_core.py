@@ -4,13 +4,14 @@ Conventions fixed here and relied on everywhere else:
 
 * matrices are 2-D C-contiguous float64 arrays (``as_matrix`` coerces and
   validates);
-* ``vec``/``unvec`` use COLUMN-MAJOR stacking, which makes the identity
-  ``(P (x) Q) vec(X) = vec(Q X P^T)`` hold without any transpose juggling.
+* every internal kernel is ROW-MAJOR: (P (x) Q) x is P X Q^T flattened,
+  for X = x.reshape(P.cols, Q.cols); only the public ``vec``/``unvec``
+  stack COLUMN-MAJOR, under which ``(P (x) Q) vec(X) = vec(Q X P^T)``.
 
-That identity is what lets ``apply_kron2`` evaluate a two-factor Kronecker
-operator without ever materializing it.  The private ``_kron_sum`` and
-``_dense_kron_sum`` are the shared kernels that apply and form every stacked
-Kronecker sum ``sum_k P[k] (x) Q[k]`` in the package.
+``_rearrange`` is the Van Loan-Pitsianis map R[(i, j), (a, b)] =
+D[(i, a), (j, b)] beneath every stacked Kronecker sum sum_k P[k] (x) Q[k]
+in the package: ``_kron_sum`` applies one, ``_dense_kron_sum`` forms one
+and ``_project`` is the adjoint of ``_dense_kron_sum``.
 """
 
 from typing import NamedTuple
@@ -89,26 +90,31 @@ def unvec(x, shape: Shape) -> Matrix:
     return np.ascontiguousarray(x.reshape((rows, cols), order="F"))
 
 
-def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
-    # unvalidated core of apply_kron2
-    pr, pc = P.shape
-    qr, qc = Q.shape
-    X = x.reshape((qc, pc), order="F")
-    if qc * pc * pr + qr * qc * pr <= qr * qc * pc + qr * pc * pr:
-        Y = Q @ (X @ P.T)
-    else:
-        Y = (Q @ X) @ P.T
-    return Y.reshape(-1, order="F")
+def _rearrange(D: np.ndarray, m1: int, c1: int, m2: int, c2: int) -> Matrix:
+    """Unvalidated R[(i, j), (a, b)] = D[(i, a), (j, b)] for a D of
+    (m1*m2) x (c1*c2); its own inverse with the shape pairs swapped:
+    _rearrange(R, m1, m2, c1, c2) is D."""
+    return D.reshape(m1, m2, c1, c2).transpose(0, 2, 1, 3).reshape(
+        m1 * c1, m2 * c2)
 
 
 def _dense_kron_sum(P: np.ndarray, Q: np.ndarray) -> Matrix:
-    # unvalidated sum_k P[k] (x) Q[k]: the rank-s product of the flattened
-    # stacks holds entry [(i, a), (j, b)] of the sum at [(i, j), (a, b)]
+    # unvalidated sum_k P[k] (x) Q[k]: the rearranged rank-s product
     s, pr, pc = P.shape
     qr, qc = Q.shape[1:]
-    R = P.reshape(s, pr * pc).T @ Q.reshape(s, qr * qc)
-    return R.reshape(pr, pc, qr, qc).transpose(0, 2, 1, 3).reshape(
-        pr * qr, pc * qc)
+    return _rearrange(P.reshape(s, pr * pc).T @ Q.reshape(s, qr * qc),
+                      pr, qr, pc, qc)
+
+
+def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
+    """Gradients of <D, sum_k F1[k] (x) F2[k]> with respect to both
+    stacks (the adjoint of ``_dense_kron_sum``): one product of the
+    rearranged D with each flattened stack."""
+    s, m1, c1 = F1.shape
+    m2, c2 = F2.shape[1:]
+    R = _rearrange(D, m1, c1, m2, c2)
+    return ((F2.reshape(s, -1) @ R.T).reshape(F1.shape),
+            (F1.reshape(s, -1) @ R).reshape(F2.shape))
 
 
 def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -116,24 +122,28 @@ def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
     (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
-    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T;
-    the side-by-side P then contracts over (k, row) in one batched
-    matmul, so the sum over k needs no pass of its own.
+    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T,
+    ``_rearrange`` groups them by (i, k), and the side-by-side P then
+    contracts over (k, row) in one batched matmul, so the sum over k
+    needs no pass of its own.
     """
     s, pr, pc = P.shape
     qr, qc = Q.shape[1:]
     n = Z.shape[0]
-    T = Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T
-    T = T.reshape(n, pc, s, qr).transpose(0, 2, 1, 3).reshape(n, s * pc, qr)
+    T = _rearrange(Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T,
+                   n, s, pc, qr).reshape(n, s * pc, qr)
     return P.transpose(1, 0, 2).reshape(pr, s * pc) @ T
 
 
-def apply_kron2(P, Q, x) -> Vector:
-    """Compute (P (x) Q) @ x without materializing the Kronecker product.
+def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
+    # unvalidated core of apply_kron2: _kron_sum on a stack of one
+    return _kron_sum(P[None], Q[None],
+                     x.reshape(1, P.shape[1], Q.shape[1])).reshape(-1)
 
-    Uses y = vec(Q @ unvec(x) @ P^T); the two matrix products are ordered
-    to minimize flops.
-    """
+
+def apply_kron2(P, Q, x) -> Vector:
+    """Compute (P (x) Q) @ x without materializing the Kronecker product:
+    y = P X Q^T for the row-major X = x.reshape(P.cols, Q.cols)."""
     P = as_matrix(P, "P")
     Q = as_matrix(Q, "Q")
     x = as_vector(x, "x")
@@ -150,8 +160,9 @@ def apply_kron2_transpose(P, Q, g) -> Vector:
 
 
 def apply_kron2_flops(p_shape, q_shape) -> int:
-    """Flop count of ``apply_kron2`` (2 flops per multiply-add), for the
-    cheaper of the two product orders."""
+    """Flop model of a two-factor Kronecker apply (2 flops per
+    multiply-add) in the cheaper of its two product orders; the kernel
+    itself always uses one fixed order."""
     pr, pc = p_shape
     qr, qc = q_shape
     right_first = 2 * qc * pc * pr + 2 * qr * qc * pr

@@ -27,6 +27,7 @@ from .kron_core import (
     Vector,
     _dense_kron_sum,
     _kron_sum,
+    _rearrange,
     as_matrix,
     as_vector,
 )
@@ -196,7 +197,8 @@ def rearrange(M, left: Shape, right: Shape) -> Matrix:
 
     Row j*left.rows + i of the result is vec(block(i, j))^T, where
     block(i, j) is the (right.rows x right.cols) block of M at block
-    position (i, j).
+    position (i, j).  This column-major map is the row-major
+    ``kron_core._rearrange`` of M^T.
     """
     M = as_matrix(M, "M")
     lr, lc = int(left[0]), int(left[1])
@@ -205,9 +207,7 @@ def rearrange(M, left: Shape, right: Shape) -> Matrix:
         raise ValueError(
             f"shapes do not factor {M.shape[0]}x{M.shape[1]}: "
             f"left {lr}x{lc}, right {rr}x{rc}")
-    blocks = M.reshape(lr, rr, lc, rc)
-    return np.ascontiguousarray(
-        blocks.transpose(2, 0, 3, 1).reshape(lr * lc, rr * rc))
+    return np.ascontiguousarray(_rearrange(M.T, lc, lr, rc, rr))
 
 
 def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
@@ -256,25 +256,22 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     if not 1 <= s <= min(R.shape):
         raise ValueError(f"s={s} out of range for rearranged {R.shape}")
     U, sigma, V = truncated_svd(R, s)
-    left = Shape(int(left[0]), int(left[1]))
-    right = Shape(int(right[0]), int(right[1]))
-    cutoff = sigma[0] * max(R.shape) * np.finfo(np.float64).eps if sigma.size else 0.0
-    terms = []
-    for t in range(s):
-        if sigma[t] <= cutoff:
-            break
-        P = U[:, t].reshape((left.rows, left.cols), order="F")
-        Q = V[:, t].reshape((right.rows, right.cols), order="F")
-        terms.append(KronTerm(float(sigma[t]), [P, Q]))
-    return SeparatedMatrix(Shape(M.shape[0], M.shape[1]), terms)
+    cutoff = sigma[0] * max(R.shape) * np.finfo(np.float64).eps
+    kept = int(np.count_nonzero(sigma > cutoff))
+    # column t of U is vec(P_t): P_t^T flattened row-major (V likewise)
+    lr, lc, rr, rc = map(int, (*left, *right))
+    P = U[:, :kept].T.reshape(kept, lc, lr).transpose(0, 2, 1)
+    Q = V[:, :kept].T.reshape(kept, rc, rr).transpose(0, 2, 1)
+    return SeparatedMatrix(Shape(M.shape[0], M.shape[1]),
+                           map(KronTerm, sigma[:kept], zip(P, Q)))
 
 
 def factor_vector(u, dims) -> tuple[list[Vector], float]:
     """Factor u into a Kronecker chain of vectors with the given lengths,
     by recursive best rank-1 reshaping.
 
-    At each level u is reshaped column-major to (prod(dims[1:]), dims[0]);
-    for a separable u this matrix is the outer product rest * u1^T, so its
+    At each level u is reshaped row-major to (dims[0], prod(dims[1:]));
+    for a separable u this matrix is the outer product u1 * rest^T, so its
     leading singular pair recovers the split exactly.  All factors except
     the last have unit norm with their largest-magnitude entry positive.
     Returns the factors and ||u - kron_chain(factors)||_2 (0 for separable
@@ -290,13 +287,13 @@ def factor_vector(u, dims) -> tuple[list[Vector], float]:
     if len(dims) == 1:
         return [u.copy()], 0.0
     rest_len = math.prod(dims[1:])
-    X = u.reshape((rest_len, dims[0]), order="F")
     try:
-        U, sigma, Vt = np.linalg.svd(X, full_matrices=False)
+        U, sigma, Vt = np.linalg.svd(u.reshape(dims[0], rest_len),
+                                     full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    head = Vt[0].copy()
-    rest = sigma[0] * U[:, 0]
+    head = U[:, 0].copy()
+    rest = sigma[0] * Vt[0]
     pivot = int(np.argmax(np.abs(head)))
     if head[pivot] < 0.0:
         head = -head

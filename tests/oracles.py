@@ -28,6 +28,20 @@ def naive_kron(U, V):
     return out
 
 
+def naive_rearrange(D, m1, c1, m2, c2):
+    """Van Loan-Pitsianis rearrangement by explicit loops: entry
+    [(i, j), (a, b)] of the (m1*c1) x (m2*c2) result is D[(i, a), (j, b)],
+    pairs flattened row-major."""
+    D = np.asarray(D, dtype=float)
+    out = np.zeros((m1 * c1, m2 * c2))
+    for i in range(m1):
+        for j in range(c1):
+            for a in range(m2):
+                for b in range(c2):
+                    out[i * c1 + j, a * c2 + b] = D[i * m2 + a, j * c2 + b]
+    return out
+
+
 def jacobi_singular_values(M, max_sweeps=60, tol=1e-14):
     """Singular values via one-sided Jacobi rotations on the columns.
 

@@ -210,15 +210,21 @@ def _swap_last_factors(lines):
     _replace_last("weight", ["weight inf"]),
     _negative_count_no_terms, _replace_last("term", ["term 7"]),
     _swap_last_factors,
+    _replace_last("shape", ["shape 6 7"]),
+    _replace_last("shape", ["shape six 6"]),
+    _replace_last("terms", ["terms two"]),
+    _replace_last("weight", ["weight heavy"]),
 ], ids=["terms-missing", "terms-bare", "term-missing", "term-bare",
         "weight-missing", "weight-bare", "shape-missing", "cut-after-term",
         "trailing-line", "weight-nan", "weight-inf", "terms-negative",
-        "term-wrong-index", "factors-swapped"])
+        "term-wrong-index", "factors-swapped", "shape-wrong", "shape-text",
+        "terms-text", "weight-text"])
 def test_truncated_manifest_is_value_error(tmp_path, edit):
     path, lines = _manifest_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_separated(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "dotdot"])
@@ -234,3 +240,12 @@ def test_factor_path_outside_manifest_dir_rejected(tmp_path, absolute):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="leaves the manifest directory"):
         read_separated(path)
+
+
+def test_oversized_factor_keeps_memory_cap_error(tmp_path, monkeypatch):
+    path, _ = _manifest_lines(tmp_path)
+    monkeypatch.setenv("LSR_MEM_CAP_MB", "0")
+    with pytest.raises(MemoryCapError) as info:
+        read_separated(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "probe_t000_f0.lsrb" in str(info.value)

@@ -14,8 +14,16 @@ from lsradapt import (
     unvec,
     vec,
 )
+from lsradapt.kron_core import _project, _rearrange
 
-from oracles import naive_kron, rel_err
+from oracles import naive_kron, naive_rearrange, rel_err
+
+# (m1, c1, m2, c2): a factor pair m1 x c1 and m2 x c2, or a matrix of
+# (m1*m2) x (c1*c2) blocks; prime dimensions only split as p x 1
+SHAPES = pytest.mark.parametrize(
+    "dims", [(3, 5, 4, 2), (4, 4, 3, 3), (1, 6, 1, 5), (7, 1, 13, 1),
+             (13, 1, 1, 7)],
+    ids=["rect", "square", "1xn", "prime7x13", "prime13x7"])
 
 
 class TestKron:
@@ -138,6 +146,46 @@ class TestApplyKron2:
         assert apply_kron2_flops((2, 32), (2, 24)) == min(
             2 * 24 * 32 * 2 + 2 * 2 * 24 * 2,
             2 * 2 * 24 * 32 + 2 * 2 * 32 * 2)
+
+
+class TestSharedRearrangement:
+    """The one index map beneath the Kronecker-sum kernels, and the
+    kernels that use it, against loop oracles."""
+
+    @SHAPES
+    def test_matches_loop_oracle_and_is_its_own_inverse(self, dims):
+        m1, c1, m2, c2 = dims
+        D = np.random.default_rng(sum(dims)).normal(size=(m1 * m2, c1 * c2))
+        R = _rearrange(D, m1, c1, m2, c2)
+        assert np.array_equal(R, naive_rearrange(D, m1, c1, m2, c2))
+        assert np.array_equal(_rearrange(R, m1, m2, c1, c2), D)
+
+    @SHAPES
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_project_is_adjoint_of_dense_kron_sum(self, dims, s):
+        m1, c1, m2, c2 = dims
+        g = np.random.default_rng(10 * sum(dims) + s)
+        P, dP = g.normal(size=(2, s, m1, c1))
+        Q, dQ = g.normal(size=(2, s, m2, c2))
+        D = g.normal(size=(m1 * m2, c1 * c2))
+        tangent = sum(naive_kron(dP[k], Q[k]) + naive_kron(P[k], dQ[k])
+                      for k in range(s))
+        want = np.sum(D * tangent)
+        gP, gQ = _project(D, P, Q)
+        got = np.sum(gP * dP) + np.sum(gQ * dQ)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @SHAPES
+    def test_apply_kron2_matches_naive_kron(self, dims):
+        m1, c1, m2, c2 = dims
+        g = np.random.default_rng(20 * sum(dims))
+        P = g.normal(size=(m1, c1))
+        Q = g.normal(size=(m2, c2))
+        K = naive_kron(P, Q)
+        x = g.normal(size=c1 * c2)
+        y = g.normal(size=m1 * m2)
+        assert rel_err(apply_kron2(P, Q, x), K @ x) <= 1e-12
+        assert rel_err(apply_kron2_transpose(P, Q, y), K.T @ y) <= 1e-12
 
 
 class TestIdentities:

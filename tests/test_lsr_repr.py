@@ -30,6 +30,7 @@ from lsradapt import (
     truncated_svd,
     vec,
 )
+from lsradapt.kron_core import _rearrange
 
 from oracles import jacobi_singular_values, naive_kron, rel_err
 
@@ -312,6 +313,17 @@ class TestRearrange:
         with pytest.raises(ValueError):
             rearrange(np.zeros((6, 6)), Shape(2, 2), Shape(2, 2))
 
+    @pytest.mark.parametrize(
+        "left, right", [((3, 5), (4, 2)), ((4, 4), (3, 3)), ((1, 6), (1, 5)),
+                        ((7, 1), (13, 1)), ((13, 1), (1, 7))],
+        ids=["rect", "square", "1xn", "prime7x13", "prime13x7"])
+    def test_is_shared_map_of_the_transpose(self, left, right):
+        (lr, lc), (rr, rc) = left, right
+        M = np.random.default_rng(lr + lc + rr + rc).normal(
+            size=(lr * rr, lc * rc))
+        assert np.array_equal(rearrange(M, Shape(*left), Shape(*right)),
+                              _rearrange(M.T, lc, lr, rc, rr))
+
 
 class TestTruncatedSvd:
     def test_diagonal_case(self):
@@ -405,6 +417,24 @@ class TestNearestKronSum:
         err2 = np.linalg.norm(M - materialize(S2))
         assert abs(err2 - sigma[2]) <= 1e-10 * sigma[2]
 
+    @pytest.mark.parametrize("left, right", [((7, 3), (5, 2)),
+                                             ((13, 1), (1, 7))],
+                             ids=["prime7x3-5x2", "prime13x1-1x7"])
+    def test_planted_three_terms_prime_shapes(self, left, right):
+        g = np.random.default_rng(sum(left) + sum(right))
+        M = sum(naive_kron(g.normal(size=left), g.normal(size=right))
+                for _ in range(3))
+        S = nearest_kron_sum(M, Shape(*left), Shape(*right), 3)
+        assert len(S.terms) == 3
+        assert rel_err(materialize(S), M) <= 1e-12
+        # below the planted rank the error is the Jacobi-oracle tail
+        sigma = jacobi_singular_values(rearrange(M, left, right))
+        for s in (1, 2):
+            err = np.linalg.norm(M - materialize(
+                nearest_kron_sum(M, Shape(*left), Shape(*right), s)))
+            tail = np.sqrt(np.sum(sigma[s:] ** 2))
+            assert abs(err - tail) <= 1e-10 * tail
+
     def test_monotone_in_s(self):
         g = np.random.default_rng(39)
         M = g.normal(size=(12, 12))
@@ -439,7 +469,7 @@ class TestFactorVector:
         assert err == 0.0
 
     def test_non_separable_reports_sigma2(self):
-        # column-major 2x2 reshape of [1, 0, 0, 1] is the identity, whose
+        # the 2x2 reshape of [1, 0, 0, 1] is the identity, whose
         # singular values are (1, 1); best rank-1 drops sigma_2 = 1
         _, err = factor_vector(np.array([1.0, 0.0, 0.0, 1.0]), [2, 2])
         assert abs(err - 1.0) <= 1e-12
