@@ -14,6 +14,8 @@ the factor files.
 
 Both matrix readers refuse a header whose ``rows*cols`` float64 values
 exceed ``LSR_MEM_CAP_MB`` (``MemoryCapError``) before they allocate.
+Every malformed file, a non-ASCII byte in a text file included, is a
+``ValueError`` whose message names the file.
 """
 
 import math
@@ -93,7 +95,11 @@ def read_matrix(path) -> Matrix:
             # reshape raises ValueError if the file changed since the stat
             data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols)
             return as_matrix(data, str(path))
-    return _read_matrix_text(path)
+    try:
+        return _read_matrix_text(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text "
+                         f"(byte {exc.object[exc.start]:#04x})") from exc
 
 
 def _read_matrix_text(path) -> Matrix:
@@ -119,7 +125,10 @@ def _read_matrix_text(path) -> Matrix:
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, "
                                  f"expected {cols}")
-            data[i] = np.array(parts, dtype=np.float64)
+            try:
+                data[i] = np.array(parts, dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from exc
     return as_matrix(data, str(path))
 
 
@@ -144,9 +153,11 @@ def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path
 
 
 def read_separated(manifest_path) -> SeparatedMatrix:
-    """Read a manifest written by ``write_separated``.  Every refusal is a
+    """Read a manifest written by ``write_separated``.  Every refusal,
+    a factor file that cannot be opened or parsed included, is a
     ``ValueError`` (a ``MemoryCapError`` for an oversized factor) whose
-    message starts with the manifest path."""
+    message starts with the manifest path; only a manifest that cannot be
+    opened raises ``OSError``."""
     manifest_path = Path(manifest_path)
     try:
         return _read_manifest(manifest_path)
@@ -157,9 +168,12 @@ def read_separated(manifest_path) -> SeparatedMatrix:
 
 
 def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
-    lines = [ln.strip() for ln in
-             manifest_path.read_text(encoding="ascii").splitlines()
-             if ln.strip()]
+    try:
+        text = manifest_path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not ASCII text (byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start})") from exc
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["lsr-manifest", str(VERSION)]:
         raise ValueError("not a supported manifest")
 
@@ -187,7 +201,11 @@ def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
         if Path(rel).is_absolute() or not path.resolve().is_relative_to(root):
             raise ValueError(f"factor path {rel!r} leaves the manifest "
                              f"directory")
-        return read_matrix(path)
+        try:
+            return read_matrix(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read factor {rel!r}: "
+                             f"{exc.strerror or exc}") from exc
 
     terms = []
     i = 3

@@ -10,6 +10,9 @@ construction and evaluation, this module provides:
   product becomes a rank-1 matrix, so that a truncated SVD of the
   rearranged matrix yields the Frobenius-optimal sum-of-Kronecker
   approximation with fixed two-factor shapes (``nearest_kron_sum``),
+* that truncated SVD (``truncated_svd``): a block subspace iteration
+  that returns its result only when it certifies it, with an exact SVD
+  as the fallback,
 * a constructive route from a rank decomposition ``sum_k u_k v_k^T`` to a
   multi-factor representation via recursive best rank-1 vector reshaping
   (``from_rank_decomposition``).
@@ -31,6 +34,7 @@ from .kron_core import (
     as_matrix,
     as_vector,
 )
+from .rng import rng_stream
 
 
 class NumericalError(RuntimeError):
@@ -215,28 +219,92 @@ def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
     non-negative), V (cols orthonormal) with M ~= U @ diag(sigma) @ V.T
     the best rank-k Frobenius approximation.
 
-    The full left basis is never formed (``_tall_svd``); a wide M goes
-    through its transpose.
+    A block subspace iteration (``_block_svd``) runs first and its result
+    is returned only when it certifies itself; otherwise, for example
+    when k + ``_OVERSAMPLE`` >= min(rows, cols), for rank-deficient input
+    or a spectrum without a gap after sigma_k, the exact ``_tall_svd``
+    runs.  Neither forms the full left basis; a wide M goes through its
+    transpose.  The output is a deterministic function of M and k.
     """
     M = as_matrix(M, "M")
     rows, cols = M.shape
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} out of range for {rows}x{cols}")
+    tall = M if rows >= cols else M.T
     try:
-        if rows < cols:
-            V, sigma, U = _tall_svd(M.T, k)
-            return U, sigma, V
-        return _tall_svd(M, k)
+        U, sigma, V = _block_svd(tall, k) or _tall_svd(tall, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    return (U, sigma, V) if rows >= cols else (V, sigma, U)
+
+
+# block subspace iteration of ``_block_svd`` (Halko, Martinsson & Tropp,
+# SIAM Review 2011): sketch width k + _OVERSAMPLE, _POWER_STEPS products
+# with M^T M, acceptance at _CERTIFY_EPS * eps * sigma_1
+_OVERSAMPLE = 8
+_POWER_STEPS = 2
+_CERTIFY_EPS = 64
+
+
+def _block_svd(M, k):
+    """Certified rank-k SVD of an M with rows >= cols, or None.
+
+    A start block of l = k + _OVERSAMPLE columns from the fixed stream
+    ``rng_stream(0, "truncated-svd")`` goes through M and _POWER_STEPS
+    products with M^T M, with a QR at every half-step.  A Rayleigh-Ritz
+    step on the final basis Q, the SVD of the small B = Q^T M, gives l
+    Ritz triplets (sigma_j, u_j, v_j) with M^T u_j = sigma_j v_j by
+    construction.  With tol = _CERTIFY_EPS * eps * sigma_1 they are
+    accepted only when
+
+    * every kept triplet has ||M v_i - sigma_i u_i|| <= tol, and
+    * no unit x orthogonal to v_1..v_k has ||M x|| >= sigma_k + tol, so
+      that sigma_{k+1}(M) < sigma_k + tol (Courant-Fischer) and no
+      direction outside the kept ones outranks them.  Such an x is y in
+      the span of v_{k+1}..v_l plus z orthogonal to every v_j, where
+      M z = (M - QB) z; so ||M x||^2 <= max(mu, eta)^2 + gamma * eta, for
+      mu = ||M [v_{k+1}..v_l]||_2, gamma the 2-norm of those triplets'
+      residuals and eta >= ||M - QB||_F, taken as the root of
+      ||M||_F^2 - ||B||_F^2 plus _CERTIFY_EPS * eps * ||M||_F^2 for
+      its rounding.
+
+    The second test refuses rank below k, a sigma_k under ~1e-7 ||M||_F
+    and spectra with no gap after sigma_k that the iteration could
+    resolve; ties within the subspace pass once their residuals converge,
+    since any basis of a tied cluster is optimal.
+    """
+    l = k + _OVERSAMPLE
+    if l >= M.shape[1]:
+        return None
+    Y = M @ rng_stream(0, "truncated-svd").standard_normal((M.shape[1], l))
+    for _ in range(_POWER_STEPS):
+        Y = M @ np.linalg.qr(M.T @ np.linalg.qr(Y)[0])[0]
+    Q = np.linalg.qr(Y)[0]
+    B = Q.T @ M
+    Ub, sigma, Vt = np.linalg.svd(B, full_matrices=False)
+    U, V = Q @ Ub, Vt.T
+    MV = M @ V
+    residual = MV - U * sigma
+    margin = _CERTIFY_EPS * np.finfo(np.float64).eps
+    tol = margin * sigma[0]
+    fro_sq = float(np.linalg.norm(M)) ** 2
+    eta = math.sqrt(max(fro_sq - float(np.linalg.norm(B)) ** 2, 0.0)
+                    + margin * fro_sq)
+    mu = float(np.linalg.norm(MV[:, k:], 2))
+    gamma = float(np.linalg.norm(residual[:, k:], 2))
+    if (np.max(np.linalg.norm(residual[:, :k], axis=0)) > tol
+            or max(mu, eta) ** 2 + gamma * eta >= (sigma[k - 1] + tol) ** 2):
+        return None
+    return U[:, :k], sigma[:k], V[:, :k]
 
 
 def _tall_svd(M, k):
-    """Rank-k SVD of an M with rows >= cols.  The triangle R of M = QR has
-    M's singular values and right vectors, so its SVD gives the k leading
-    right vectors Vk without Q.  One Rayleigh-Ritz step on the span of
-    M @ Vk then yields U (orthonormal from the QR, even for zero singular
-    values), sigma and the matching rotation of Vk."""
+    """Exact rank-k SVD of an M with rows >= cols, the fallback of
+    ``truncated_svd``.  The triangle R of M = QR has M's singular values
+    and right vectors, so its full SVD gives the k leading right vectors
+    Vk without Q.  One Rayleigh-Ritz step on the span of M @ Vk then
+    yields U (orthonormal from the QR, even for zero singular values),
+    sigma and the matching rotation of Vk."""
     _, _, Wt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     Vk = Wt[:k].T
     Qy, Ry = np.linalg.qr(M @ Vk)

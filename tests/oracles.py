@@ -42,6 +42,25 @@ def naive_rearrange(D, m1, c1, m2, c2):
     return out
 
 
+def naive_kron_sum_grads(D, first, second):
+    """Gradients of <D, sum_k first[k] (x) second[k]> with respect to both
+    stacks, by explicit loops over every entry of every term."""
+    D = np.asarray(D, dtype=float)
+    s, m1, c1 = first.shape
+    _, m2, c2 = second.shape
+    g_first = np.zeros(first.shape)
+    g_second = np.zeros(second.shape)
+    for k in range(s):
+        for i in range(m1):
+            for j in range(c1):
+                for a in range(m2):
+                    for b in range(c2):
+                        d = D[i * m2 + a, j * c2 + b]
+                        g_first[k, i, j] += d * second[k, a, b]
+                        g_second[k, a, b] += d * first[k, i, j]
+    return g_first, g_second
+
+
 def jacobi_singular_values(M, max_sweeps=60, tol=1e-14):
     """Singular values via one-sided Jacobi rotations on the columns.
 

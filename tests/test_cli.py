@@ -115,8 +115,9 @@ class TestApprox:
         lambda path: path.write_text("2 2\n1.0 2.0\n3.0\n"),
         lambda path: path.write_bytes(_binary_bytes(path)[:-8]),
         lambda path: path.write_bytes(_binary_bytes(path, version=2)),
+        lambda path: path.write_bytes(b"2 2\n1 \xff\n3 4\n"),
     ], ids=["text-bad-header", "text-short-row", "binary-truncated",
-            "binary-bad-version"])
+            "binary-bad-version", "text-non-ascii"])
     def test_malformed_input_is_io_error(self, tmp_path, capsys, make):
         src = tmp_path / "m.in"
         make(src)

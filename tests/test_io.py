@@ -249,3 +249,48 @@ def test_oversized_factor_keeps_memory_cap_error(tmp_path, monkeypatch):
         read_separated(path)
     assert str(info.value).startswith(f"{path}: ")
     assert "probe_t000_f0.lsrb" in str(info.value)
+
+
+def _assert_names(info, *paths):
+    """The refusal is a plain ValueError (not a UnicodeDecodeError, whose
+    message ignores a rewrite) that names every path given."""
+    assert type(info.value) is ValueError
+    for path in paths:
+        assert str(path) in str(info.value)
+
+
+def test_non_ascii_text_matrix_names_the_file(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"2 2\n1 \xff\n3 4\n")
+    with pytest.raises(ValueError) as info:
+        read_matrix(path)
+    _assert_names(info, path)
+    assert "0xff" in str(info.value)
+
+
+def test_non_ascii_factor_file_names_factor_and_manifest(tmp_path):
+    path, lines = _manifest_lines(tmp_path)
+    factor = path.parent / lines[-1].split()[1]
+    factor.write_bytes(b"\xff\xfe 2 2\n")
+    with pytest.raises(ValueError) as info:
+        read_separated(path)
+    _assert_names(info, path, factor)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_non_ascii_manifest_names_the_manifest(tmp_path):
+    path, lines = _manifest_lines(tmp_path)
+    path.write_bytes(("\n".join(lines[:2]) + "\n").encode("ascii")
+                     + b"terms \xff2\n")
+    with pytest.raises(ValueError) as info:
+        read_separated(path)
+    _assert_names(info, path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_missing_factor_file_names_factor_and_manifest(tmp_path):
+    path, lines = _manifest_lines(tmp_path)
+    (path.parent / lines[-1].split()[1]).unlink()
+    with pytest.raises(ValueError) as info:
+        read_separated(path)
+    _assert_names(info, path, lines[-1].split()[1])

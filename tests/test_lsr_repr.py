@@ -325,6 +325,49 @@ class TestRearrange:
                               _rearrange(M.T, lc, lr, rc, rr))
 
 
+def planted_spectrum(rows, cols, sigma, seed):
+    """rows x cols matrix with singular values sigma (zero beyond)."""
+    g = np.random.default_rng(seed)
+    U = np.linalg.qr(g.normal(size=(rows, len(sigma))))[0]
+    V = np.linalg.qr(g.normal(size=(cols, len(sigma))))[0]
+    return (U * sigma) @ V.T
+
+
+# eight halving singular values, then a tail four decades lower
+GAPPED = np.concatenate([2.0 ** -np.arange(8.0), 1e-6 * np.linspace(1, 0.5, 92)])
+
+
+@pytest.fixture
+def exact_svd_calls(monkeypatch):
+    """Shapes passed to the exact fallback ``_tall_svd``, in call order."""
+    calls = []
+    exact = lsradapt.lsr_repr._tall_svd
+
+    def counted(M, k):
+        calls.append(M.shape)
+        return exact(M, k)
+
+    monkeypatch.setattr(lsradapt.lsr_repr, "_tall_svd", counted)
+    return calls
+
+
+def assert_truncated_svd_contract(M, k, all_sigma):
+    """truncated_svd(M, k) against the oracle's singular values, at the
+    tolerances of ``test_contract_against_jacobi_oracle``."""
+    rows, cols = M.shape
+    U, sigma, V = truncated_svd(M, k)
+    assert (U.shape, sigma.shape, V.shape) == ((rows, k), (k,), (cols, k))
+    assert np.max(np.abs(sigma - all_sigma[:k])) <= 1e-10 * all_sigma[0]
+    assert np.all(sigma >= 0.0) and np.all(np.diff(sigma) <= 0.0)
+    assert np.max(np.abs(U.T @ U - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-10
+    err = np.linalg.norm(M - U @ np.diag(sigma) @ V.T)
+    tail = np.sqrt(np.sum(all_sigma[k:] ** 2))
+    # a rank below k leaves a round-off tail: compare on sigma_max's scale
+    scale = tail if tail > 1e-12 * all_sigma[0] else all_sigma[0]
+    assert abs(err - tail) <= 1e-10 * scale
+
+
 class TestTruncatedSvd:
     def test_diagonal_case(self):
         U, sigma, V = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
@@ -391,6 +434,48 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
         with pytest.raises(ValueError):
             truncated_svd(np.eye(3), 0)
+
+    def test_gapped_spectrum_is_certified(self, exact_svd_calls):
+        # sigma_9 / sigma_8 ~ 1e-4 with 100 columns (sketch width 16):
+        # the block iteration certifies itself in either orientation.
+        # Orthogonal columns (right vectors a permutation) keep the Jacobi
+        # oracle to one sweep.
+        g = np.random.default_rng(41)
+        M = (np.linalg.qr(g.normal(size=(120, 100)))[0]
+             * GAPPED)[:, g.permutation(100)]
+        all_sigma = jacobi_singular_values(M)
+        for A in (M, M.T):
+            assert_truncated_svd_contract(A, 8, all_sigma)
+        assert exact_svd_calls == []
+
+    @pytest.mark.parametrize("make, k", [
+        (lambda g: g.normal(size=(60, 40)), 5),
+        (lambda g: g.normal(size=(60, 3)) @ g.normal(size=(3, 40)), 6),
+    ], ids=["gaussian", "rank-deficient"])
+    def test_uncertified_input_takes_exact_path(self, exact_svd_calls, make,
+                                                k):
+        M = make(np.random.default_rng(42))
+        assert_truncated_svd_contract(M, k, jacobi_singular_values(M))
+        assert exact_svd_calls == [(60, 40)]
+
+    @pytest.mark.parametrize("tail", [1e-3 * 0.9 ** np.arange(30),
+                                      np.full(30, 1e-9)],
+                             ids=["slow-tail", "tied-then-gap"])
+    def test_clustered_spectrum_meets_contract(self, tail):
+        # sigma_7..sigma_10 agree to 1e-9 relative: a cluster across k = 8
+        # (the slow tail takes the exact path; the tie with a gap after
+        # it is certified)
+        sigma = np.concatenate([2.0 ** -np.arange(6.0),
+                                0.01 * (1 - 1e-9 * np.arange(4)), tail])
+        M = planted_spectrum(60, 40, sigma, seed=43)
+        assert_truncated_svd_contract(M, 8, jacobi_singular_values(M))
+
+    def test_bit_identical_on_repeat(self):
+        for M in (planted_spectrum(60, 40, GAPPED[:40], seed=44),
+                  np.random.default_rng(45).normal(size=(60, 40))):
+            first, second = truncated_svd(M, 8), truncated_svd(M, 8)
+            for a, b in zip(first, second):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestNearestKronSum:
