@@ -8,21 +8,23 @@ small matrices:
     B_sum = sum_k B1[k] (x) B2[k]      (r  x w2)
 
 with a1*a2 = w1, r1*r2 = r, b1*b2 = w2.  Forward and backward never
-materialize the update.  They run over a batch of inputs held as the
-rows of an (n, w2) array; a 1-D input is a batch of one and gets 1-D
-results back.  Writing v~ for a row-major reshape (x~ = x.reshape(b1, b2),
-u~ = u.reshape(r1, r2)), the vec identity (see ``kron_core``) becomes
+materialize the w1 x w2 update.  Each call forms the two thin factors
+once (``update_factors()``: one ``kron_core._dense_kron_sum`` per side,
+O(s r (w1 + w2)) work) and then runs the plain low-rank map on them,
+over a batch of inputs held as the rows of an (n, w2) array; a 1-D
+input is a batch of one and gets 1-D results back:
 
-    (B_sum x)~ = sum_k B1[k] x~ B2[k]^T          (r1 x r2)
+    Y = X W^T + alpha * (X B_sum^T) A_sum^T
 
-so each side is one GEMM against the stacked second factors followed by
-one batched matmul against the side-by-side first factors, whose
-contraction also runs over k (``kron_core._kron_sum``).
+Applying the Kronecker sums per sample instead would cost
+s (w2 r2 + r1 b1 r2) multiply-adds per row on the B side alone, more
+than the r w2 of the formed B_sum whenever s exceeds r1, and many more
+numpy calls per row.
 
 Gradients are hand-derived.  For a batch X (n x w2) with output
-gradients G = dL/dY (n x w1), let U = rows of B_sum x and H = rows of
-A_sum^T g.  Then dX = G W + alpha * H B_sum (one row per sample), and the
-dense gradients of the two sums are the batch sums
+gradients G = dL/dY (n x w1), let U = X B_sum^T and H = G A_sum (rows
+of B_sum x and A_sum^T g).  Then dX = G W + alpha * H B_sum (one row per
+sample), and the dense gradients of the two factors are the batch sums
 
     dA_sum = alpha * G^T U    (w1 x r)      dB_sum = alpha * H^T X    (r x w2)
 
@@ -34,9 +36,11 @@ every term's gradient is one product per stack (``kron_core._project``):
     dP = q R^T      dQ = p R      (for (A1, A2) and for (B1, B2))
 
 A plain low-rank adapter (``LoraLayer``, ``W x + alpha * A (B x)``) is
-the comparison baseline.  Both layers share one interface, so callers
-never branch on the type: ``params`` maps names (A1, A2, B1, B2 or A, B)
-to the trainable arrays themselves, ``n_params`` counts them,
+the comparison baseline.  It runs through the same dense-factor core,
+and its dA and dB are its gradients as they are.  Both layers share one
+interface, so callers never branch on the type: ``params`` maps names
+(A1, A2, B1, B2 or A, B) to the trainable arrays themselves,
+``n_params`` counts them,
 ``update_factors()`` gives the dense (A, B) before alpha, and
 ``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
 ``grads`` keyed like ``params``.
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, _dense_kron_sum, _kron_sum, _project, as_matrix
+from .kron_core import Matrix, _dense_kron_sum, _project, as_matrix
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -237,33 +241,34 @@ def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
 
 
 def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
-    """y = W x + alpha * A_sum (B_sum x) for every row of x, matrix-free.
+    """y = W x + alpha * A_sum (B_sum x) for every row of x, on the dense
+    factors (the w1 x w2 update is never formed).
 
     x is (n, w2) or a single vector of length w2; the result is (n, w1)
     or a vector of length w1 to match.
     """
-    X, single = _as_batch(x, layer.plan.w2, "x")
+    return _low_rank_forward(layer, x)
+
+
+def _low_rank_forward(layer, x) -> np.ndarray:
+    # shared by both layer types: Y = X W^T + alpha * (X B^T) A^T
+    X, single = _as_batch(x, layer.W.shape[1], "x")
     Y = (X[0] if single else X) @ layer.W.T
-    U = _apply_b(layer, X)
+    A, B = layer.update_factors()
+    U = _apply_b(B, X)
     if layer.alpha != 0.0 and U.any():
-        Y += layer.alpha * _apply_a(layer, U).reshape(Y.shape)
+        Y += layer.alpha * _apply_a(A, U).reshape(Y.shape)
     return Y
 
 
-def _apply_b(layer: LsrAdaptLayer, X: np.ndarray) -> np.ndarray:
-    """Rows of B_sum x: (n, w2) -> (n, r)."""
-    p = layer.plan
-    n = X.shape[0]
-    return _kron_sum(layer.B1, layer.B2,
-                     X.reshape(n, p.b1, p.b2)).reshape(n, p.r)
+def _apply_b(B: Matrix, X: np.ndarray) -> np.ndarray:
+    """Rows of B x: (n, w2) -> (n, r)."""
+    return X @ B.T
 
 
-def _apply_a(layer: LsrAdaptLayer, U: np.ndarray) -> np.ndarray:
-    """Rows of A_sum u: (n, r) -> (n, w1)."""
-    p = layer.plan
-    n = U.shape[0]
-    return _kron_sum(layer.A1, layer.A2,
-                     U.reshape(n, p.r1, p.r2)).reshape(n, p.w1)
+def _apply_a(A: Matrix, U: np.ndarray) -> np.ndarray:
+    """Rows of A u: (n, r) -> (n, w1)."""
+    return U @ A.T
 
 
 def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
@@ -279,27 +284,30 @@ def backward(layer: LsrAdaptLayer, x, g):
     x is (n, w2) and g is (n, w1), or single vectors.  ``grads`` maps each
     name in ``layer.params`` to its gradient, summed over the batch; dx
     has one row per sample (a vector for vector input).  See the module
-    docstring for the derivation; everything is evaluated matrix-free.
+    docstring for the derivation: the dense gradients of A_sum and B_sum
+    are projected onto the factor stacks.
     """
-    p = layer.plan
-    X, single = _as_batch(x, p.w2, "x")
-    G, _ = _as_batch(g, p.w1, "g")
-    n = X.shape[0]
-    if G.shape[0] != n:
-        raise ValueError(f"x has {n} rows but g has {G.shape[0]}")
+    dA, dB, dx = _low_rank_backward(layer, x, g)
+    dA1, dA2 = _project(dA, layer.A1, layer.A2)
+    dB1, dB2 = _project(dB, layer.B1, layer.B2)
+    return {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}, dx
+
+
+def _low_rank_backward(layer, x, g):
+    """Dense (dA, dB, dx) of the map y = W x + alpha * A (B x) on the
+    layer's ``update_factors()``, shared by both layer types."""
+    w1, w2 = layer.W.shape
+    X, single = _as_batch(x, w2, "x")
+    G, _ = _as_batch(g, w1, "g")
+    if G.shape[0] != X.shape[0]:
+        raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
     alpha = layer.alpha
-    U = _apply_b(layer, X)
-    # rows of A_sum^T g and B_sum^T h: the same kernel on the factor-wise
-    # transposed stacks
-    H = _kron_sum(layer.A1.transpose(0, 2, 1), layer.A2.transpose(0, 2, 1),
-                  G.reshape(n, p.a1, p.a2)).reshape(n, p.r)
-    dA1, dA2 = _project(alpha * (G.T @ U), layer.A1, layer.A2)
-    dB1, dB2 = _project(alpha * (H.T @ X), layer.B1, layer.B2)
-    dx = G @ layer.W + alpha * _kron_sum(
-        layer.B1.transpose(0, 2, 1), layer.B2.transpose(0, 2, 1),
-        H.reshape(n, p.r1, p.r2)).reshape(n, p.w2)
-    grads = {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}
-    return grads, dx.reshape(-1) if single else dx
+    A, B = layer.update_factors()
+    U = _apply_b(B, X)
+    H = G @ A  # rows of A^T g
+    dx = G @ layer.W + alpha * (H @ B)
+    return (alpha * (G.T @ U), alpha * (H.T @ X),
+            dx.reshape(-1) if single else dx)
 
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
@@ -326,27 +334,15 @@ def lora_init(W, r: int, alpha: float = DEFAULT_ALPHA,
 
 def lora_forward(layer: LoraLayer, x) -> np.ndarray:
     """y = W x + alpha * A (B x) for every row of x (or one vector)."""
-    X, single = _as_batch(x, layer.W.shape[1], "x")
-    Y = (X[0] if single else X) @ layer.W.T
-    mid = X @ layer.B.T
-    if layer.alpha != 0.0 and mid.any():
-        Y += layer.alpha * (mid @ layer.A.T).reshape(Y.shape)
-    return Y
+    return _low_rank_forward(layer, x)
 
 
 def lora_backward(layer: LoraLayer, x, g):
     """Gradients ``({"A": dA, "B": dB}, dx)`` for the baseline forward
     map: dA and dB summed over the rows of x and g, dx one row per
     sample."""
-    X, single = _as_batch(x, layer.W.shape[1], "x")
-    G, _ = _as_batch(g, layer.W.shape[0], "g")
-    if G.shape[0] != X.shape[0]:
-        raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
-    at_g = G @ layer.A
-    grads = {"A": layer.alpha * (G.T @ (X @ layer.B.T)),
-             "B": layer.alpha * (at_g.T @ X)}
-    dx = G @ layer.W + layer.alpha * (at_g @ layer.B)
-    return grads, dx.reshape(-1) if single else dx
+    dA, dB, dx = _low_rank_backward(layer, x, g)
+    return {"A": dA, "B": dB}, dx
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:

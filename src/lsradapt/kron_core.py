@@ -10,8 +10,10 @@ Conventions fixed here and relied on everywhere else:
 
 ``_rearrange`` is the Van Loan-Pitsianis map R[(i, j), (a, b)] =
 D[(i, a), (j, b)] beneath every stacked Kronecker sum sum_k P[k] (x) Q[k]
-in the package: ``_kron_sum`` applies one, ``_dense_kron_sum`` forms one
-and ``_project`` is the adjoint of ``_dense_kron_sum``.
+in the package: ``_dense_kron_sum`` forms one, ``_project`` is its
+adjoint (together they are all the adapter needs: it forms its two thin
+factors and projects their dense gradients) and ``_kron_sum`` applies one
+to a batch without forming it, for ``lsr_repr.apply`` and ``apply_kron2``.
 """
 
 from typing import NamedTuple

@@ -318,6 +318,9 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
 
     Terms come out normalized: unit-Frobenius factors, weights descending.
     Numerically-zero weights (below sigma_max * max_dim * eps) are dropped.
+    A singular pair's sign is arbitrary, so each term's sign is fixed: the
+    largest-magnitude entry of its first factor is positive (the first in
+    row-major order on a tie), and the second factor flips with it.
     """
     M = as_matrix(M, "M")
     R = rearrange(M, left, right)
@@ -330,6 +333,10 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     lr, lc, rr, rc = map(int, (*left, *right))
     P = U[:, :kept].T.reshape(kept, lc, lr).transpose(0, 2, 1)
     Q = V[:, :kept].T.reshape(kept, rc, rr).transpose(0, 2, 1)
+    flat = P.reshape(kept, lr * lc)
+    pivot = flat[np.arange(kept), np.argmax(np.abs(flat), axis=1)]
+    sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None, None]
+    P, Q = sign * P, sign * Q
     return SeparatedMatrix(Shape(M.shape[0], M.shape[1]),
                            map(KronTerm, sigma[:kept], zip(P, Q)))
 

@@ -4,6 +4,8 @@ The binding gradient contract is agreement with central finite
 differences of a probe loss, not any particular formula.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -483,3 +485,53 @@ def test_layer_interface_contract(kind):
     for name, p in layer.params.items():
         assert p is params[name], name
         assert not np.array_equal(p, before[name]), name
+
+
+class TestSharedLowRankPath:
+    """Both layer types run one dense-factor path: an LSR layer behaves
+    bit for bit like the plain low-rank layer on its own update factors."""
+
+    @pytest.mark.parametrize("n", [None, 1, 6])
+    def test_lora_on_lsr_factors_is_bit_identical(self, n):
+        g = np.random.default_rng(91)
+        layer = random_layer(g, 12, 15, 4, 3, alpha=0.7)
+        A, B = layer.update_factors()
+        lora = LoraLayer(W=layer.W, alpha=layer.alpha, A=A, B=B)
+        size = () if n is None else (n,)
+        X = g.normal(size=size + (15,))
+        G = g.normal(size=size + (12,))
+        assert np.array_equal(forward(layer, X), lora_forward(lora, X))
+        assert np.array_equal(backward(layer, X, G)[1],
+                              lora_backward(lora, X, G)[1])
+
+    def test_factor_gradients_are_projected_lora_gradients(self):
+        g = np.random.default_rng(92)
+        layer = random_layer(g, 12, 15, 4, 3, alpha=0.7)
+        lora = LoraLayer(layer.W, layer.alpha, *layer.update_factors())
+        X = g.normal(size=(6, 15))
+        G = g.normal(size=(6, 12))
+        grads, _ = backward(layer, X, G)
+        lgrads, _ = lora_backward(lora, X, G)
+        want = dict(zip(("A1", "A2"), _project(lgrads["A"], layer.A1,
+                                               layer.A2)))
+        want.update(zip(("B1", "B2"), _project(lgrads["B"], layer.B1,
+                                               layer.B2)))
+        assert list(grads) == ["A1", "A2", "B1", "B2"]
+        for name in grads:
+            assert np.array_equal(grads[name], want[name]), name
+
+    def test_update_matrix_is_never_materialized(self):
+        # forward and backward at the paper's 768 x 768, s = 16 layer
+        # allocate far less than one w1 x w2 float64 update at their peak
+        g = np.random.default_rng(93)
+        layer = random_layer(g, 768, 768, 4, 16)
+        X = g.normal(size=(16, 768))
+        G = g.normal(size=(16, 768))
+        tracemalloc.start()
+        try:
+            forward(layer, X)
+            backward(layer, X, G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 768 * 8 / 4

@@ -278,15 +278,26 @@ class TestBench:
         assert code == 0
         assert "matrix-free forward" in out
         assert "materialized forward" in out
-        # independent recomputation of both cost formulas
-        def apply_cost(pr, pc, qr, qc):
-            return min(2 * qc * pc * pr + 2 * qr * qc * pr,
-                       2 * qr * qc * pc + 2 * qr * pc * pr)
-        # plan for (12, 12, 4): a = b = (4, 3), r = (2, 2)
-        per_term = apply_cost(2, 4, 2, 3) + apply_cost(4, 2, 3, 2)
-        want = (2 * 12 * 12) / (2 * per_term)
+        # independent recomputation of both cost formulas; the plan for
+        # (12, 12, 4) is a = b = (4, 3), r = (2, 2).  Forming A_sum and
+        # B_sum costs 2 s (a1 r1 a2 r2 + r1 b1 r2 b2), each vector then
+        # 2 r (w1 + w2)
+        form = 2 * 2 * (4 * 2 * 3 * 2 + 2 * 4 * 2 * 3)
+        per_vector = 2 * 4 * (12 + 12)
+        want = (2 * 12 * 12) / (form + per_vector)
         assert float(grab(out, "flop-ratio")) == pytest.approx(want,
                                                                rel=1e-12)
+
+    def test_time_ratio_is_measured(self, capsys):
+        code, out = run(capsys, "bench", "--w1", "12", "--w2", "12",
+                        "--r", "4", "--s", "2", "--repeats", "3")
+        assert code == 0
+        rows = dict(line.rsplit(None, 1) for line in out.splitlines()[1:3])
+        want = float(rows["materialized forward"]) / float(
+            rows["matrix-free forward"])
+        # the table rounds both medians to whole nanoseconds
+        assert float(grab(out, "time-ratio")) == pytest.approx(want,
+                                                               rel=1e-2)
 
     def test_memory_cap_skips_materialization(self, capsys, monkeypatch):
         monkeypatch.setenv("LSR_MEM_CAP_MB", "0")
@@ -294,6 +305,7 @@ class TestBench:
                         "--r", "4", "--s", "2", "--repeats", "2")
         assert code == 0
         assert "skipped" in out
+        assert grab(out, "time-ratio") == "skipped"
 
     def test_degenerate_dims(self, capsys):
         code, out = run(capsys, "bench", "--w1", "1", "--w2", "1",

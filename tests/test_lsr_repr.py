@@ -545,6 +545,32 @@ class TestNearestKronSum:
             for f in t.factors:
                 assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
 
+    def test_factor_signs_agree_across_svd_paths(self, monkeypatch,
+                                                 exact_svd_calls):
+        # a planted 4-term sum plus a small tail: the block subspace path
+        # certifies it, and the exact fallback must give the same factors
+        g = np.random.default_rng(42)
+        left, right = Shape(6, 5), Shape(4, 7)
+        M = sum(w * naive_kron(g.normal(size=left), g.normal(size=right))
+                for w in (8.0, 4.0, 2.0, 1.0))
+        M = M + 1e-6 * g.normal(size=M.shape)
+        block = nearest_kron_sum(M, left, right, 4)
+        assert exact_svd_calls == []
+        monkeypatch.setattr(lsradapt.lsr_repr, "_block_svd",
+                            lambda M, k: None)
+        exact = nearest_kron_sum(M, left, right, 4)
+        assert len(exact_svd_calls) == 1
+        sigma_1 = block.terms[0].weight
+        assert len(block.terms) == len(exact.terms) == 4
+        for b, e in zip(block.terms, exact.terms):
+            assert abs(b.weight - e.weight) <= 1e-12 * sigma_1
+            # the factors have unit norm, so this is 1e-12 of each term
+            for fb, fe in zip(b.factors, e.factors):
+                assert np.max(np.abs(fb - fe)) <= 1e-12
+            for t in (b, e):
+                first = t.factors[0].reshape(-1)
+                assert first[np.argmax(np.abs(first))] > 0.0
+
 
 class TestFactorVector:
     def test_basis_vector_exact(self):
