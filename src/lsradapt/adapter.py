@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, _dense_kron_sum, _project, as_matrix
+from .kron_core import Matrix, _checked, _dense_kron_sum, _project, as_matrix
 from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -110,7 +110,9 @@ class LsrAdaptLayer:
 
     Factor families are stacked along the leading axis: A1[k] is the k-th
     a1 x r1 factor, etc.  The factor arrays are the trainable state; W is
-    never updated.
+    never updated.  Construction checks every array (``kron_core._checked``:
+    float64, the right shape, finite entries) and that alpha is finite, so
+    no later call has to.
     """
 
     W: Matrix
@@ -125,6 +127,8 @@ class LsrAdaptLayer:
     def __post_init__(self):
         p = self.plan
         self.W = as_matrix(self.W, "W")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.W.shape != (p.w1, p.w2):
             raise ValueError(f"W is {self.W.shape}, plan wants ({p.w1}, {p.w2})")
         if self.s < 1:
@@ -132,7 +136,7 @@ class LsrAdaptLayer:
         expected = {"A1": (self.s, p.a1, p.r1), "A2": (self.s, p.a2, p.r2),
                     "B1": (self.s, p.r1, p.b1), "B2": (self.s, p.r2, p.b2)}
         for name, shape in expected.items():
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = _checked(getattr(self, name), name, 3)
             if arr.shape != shape:
                 raise ValueError(f"{name} is {arr.shape}, expected {shape}")
             setattr(self, name, arr)
@@ -170,6 +174,8 @@ class LoraLayer:
 
     def __post_init__(self):
         self.W = as_matrix(self.W, "W")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         self.A = as_matrix(self.A, "A")
         self.B = as_matrix(self.B, "B")
         w1, w2 = self.W.shape
@@ -209,9 +215,6 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
     layer reproduces W x at step 0 while still receiving gradient through
     B2 from the first step on.
     """
-    W = as_matrix(W, "W")
-    if W.shape != (plan.w1, plan.w2):
-        raise ValueError(f"W is {W.shape}, plan wants ({plan.w1}, {plan.w2})")
     g = rng_stream(seed, "adapter-init")
     a_std = np.sqrt(1.0 / plan.w2)
     b1_std = np.sqrt(1.0 / plan.r)
@@ -227,7 +230,7 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
 def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
     """Validated (n, width) float64 batch, and whether x was a single
     1-D vector (a batch of one)."""
-    b = np.ascontiguousarray(x, dtype=np.float64)
+    b = _checked(x, name, None)
     single = b.ndim == 1
     if single:
         if b.size != width:
@@ -235,8 +238,6 @@ def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
         b = b.reshape(1, width)
     elif b.ndim != 2 or b.shape[1] != width:
         raise ValueError(f"{name} has shape {b.shape}, expected (n, {width})")
-    if not np.isfinite(b).all():
-        raise ValueError(f"{name} contains non-finite entries")
     return b, single
 
 
@@ -251,13 +252,12 @@ def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
 
 
 def _low_rank_forward(layer, x) -> np.ndarray:
-    # shared by both layer types: Y = X W^T + alpha * (X B^T) A^T
+    # shared by both layer types: Y = X W^T + alpha * (X B^T) A^T; with
+    # B = 0 (a fresh layer) the update adds exact zeros, so Y is W x
     X, single = _as_batch(x, layer.W.shape[1], "x")
     Y = (X[0] if single else X) @ layer.W.T
     A, B = layer.update_factors()
-    U = _apply_b(B, X)
-    if layer.alpha != 0.0 and U.any():
-        Y += layer.alpha * _apply_a(A, U).reshape(Y.shape)
+    Y += layer.alpha * _apply_a(A, _apply_b(B, X)).reshape(Y.shape)
     return Y
 
 

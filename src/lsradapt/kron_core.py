@@ -2,8 +2,8 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* matrices are 2-D C-contiguous float64 arrays (``as_matrix`` coerces and
-  validates);
+* matrices are 2-D C-contiguous float64 arrays with finite entries;
+  ``_checked`` writes that rule once, for every array the package takes in;
 * every internal kernel is ROW-MAJOR: (P (x) Q) x is P X Q^T flattened,
   for X = x.reshape(P.cols, Q.cols); only the public ``vec``/``unvec``
   stack COLUMN-MAJOR, under which ``(P (x) Q) vec(X) = vec(Q X P^T)``.
@@ -32,25 +32,27 @@ class Shape(NamedTuple):
     cols: int
 
 
+def _checked(a, name: str, ndim: int | None) -> np.ndarray:
+    """The package's one array rule: ``a`` as a C-contiguous float64
+    array of rank ``ndim`` (any rank for None) with finite entries."""
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if ndim is not None and m.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
 def as_matrix(a, name: str = "matrix") -> Matrix:
     """Coerce to a validated 2-D float64 array (C order, finite entries)."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
+    m = _checked(a, name, 2)
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def as_vector(x, name: str = "vector") -> Vector:
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return _checked(x, name, 1)
 
 
 def kron(U, V) -> Matrix:

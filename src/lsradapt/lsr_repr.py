@@ -18,7 +18,6 @@ construction and evaluation, this module provides:
   (``from_rank_decomposition``).
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -404,19 +403,14 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
     terms = []
     errors = []
     for u, v in zip(us, vs):
-        u_parts, _ = factor_vector(u, row_factors)
-        v_parts, _ = factor_vector(v, col_factors)
+        u_parts, du = factor_vector(u, row_factors)
+        v_parts, dv = factor_vector(v, col_factors)
         terms.append(KronTerm(1.0, [np.outer(a, b)
                                     for a, b in zip(u_parts, v_parts)]))
-        # u v^T - u^ v^^T = u^ (v - v^)^T + (u - u^) v^T; evaluating the
-        # norm through the small differences avoids the cancellation the
-        # direct inner-product expansion suffers when the error is tiny
-        u_hat = functools.reduce(np.kron, u_parts)
-        v_hat = functools.reduce(np.kron, v_parts)
-        du = u - u_hat
-        dv = v - v_hat
-        err_sq = (np.dot(u_hat, u_hat) * np.dot(dv, dv)
-                  + 2.0 * np.dot(u_hat, du) * np.dot(dv, v)
-                  + np.dot(du, du) * np.dot(v, v))
+        # u^ is orthogonal to u - u^ (norm du), v^ to v - v^ (norm dv), so
+        # ||u v^T - u^ v^^T||^2 = du^2 ||v||^2 + ||u||^2 dv^2 - du^2 dv^2:
+        # small terms, free of the cancellation in ||u v^T||^2 - ||u^ v^^T||^2
+        err_sq = (du * du * np.dot(v, v) + np.dot(u, u) * dv * dv
+                  - du * du * dv * dv)
         errors.append(math.sqrt(max(err_sq, 0.0)))
     return SeparatedMatrix(shape, terms), errors

@@ -287,9 +287,8 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
         resid = layer.forward(x) - task.targets[idx]
         if not math.isfinite(float(np.vdot(resid, resid))):
             raise DivergenceError(step)
-        grads, _ = layer.backward(x, resid)
-        for g in grads.values():
-            g *= scale
+        # gradients are linear in the residual, so scale it, not them
+        grads, _ = layer.backward(x, scale * resid)
         opt.step(params, grads)
         if (step + 1) % log_every == 0 or step == config.steps - 1:
             loss = _dataset_loss(layer, task)

@@ -115,6 +115,38 @@ class TestInit:
             init(np.zeros((5, 5)), plan_shapes(12, 8, 4), s=1)
 
 
+class TestArrayChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family", ["A1", "A2", "B1", "B2"])
+    def test_non_finite_factor_stack_refused(self, family, bad):
+        g = np.random.default_rng(95)
+        layer = random_layer(g, 12, 8, 4, 2)
+        stacks = {name: arr.copy() for name, arr in layer.params.items()}
+        stacks[family][1, 0, -1] = bad
+        with pytest.raises(ValueError, match=f"{family} contains non-finite"):
+            LsrAdaptLayer(W=layer.W, alpha=1.0, plan=layer.plan, s=2,
+                          **stacks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_alpha_refused(self, bad):
+        # a fresh layer's update is exactly zero, but alpha * 0 is not
+        W = np.eye(4)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            init(W, plan_shapes(4, 4, 2), s=1, alpha=bad)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            lora_init(W, 2, alpha=bad)
+
+    def test_batch_errors_name_argument_and_width(self):
+        g = np.random.default_rng(96)
+        layer = random_layer(g, 12, 8, 4, 2)
+        with pytest.raises(ValueError, match="x has length 7, expected 8"):
+            forward(layer, np.ones(7))
+        with pytest.raises(ValueError, match=r"x has shape .*\(n, 8\)"):
+            forward(layer, np.ones((2, 3, 8)))
+        with pytest.raises(ValueError, match=r"g has shape .*\(n, 12\)"):
+            backward(layer, np.ones((3, 8)), np.ones((3, 8)))
+
+
 class TestForward:
     def test_identity_update(self):
         # square plan with r = w1 = w2; identity factors make the update
