@@ -63,7 +63,7 @@ def cmd_approx(args) -> int:
     manifest = io.write_separated(S, args.out, name=args.name)
     rows = [
         ("requested terms", str(args.terms)),
-        ("kept terms", str(len(S.terms))),
+        ("kept terms", str(S.separation_rank)),
         ("frobenius error", f"{fro_err:.6e}"),
         ("relative error", f"{rel_err:.6e}"),
         ("condition number", f"{gamma:.12f}"),

@@ -35,7 +35,7 @@ class Shape(NamedTuple):
 def _checked(a, name: str, ndim: int | None) -> np.ndarray:
     """The package's one array rule: ``a`` as a C-contiguous float64
     array of rank ``ndim`` (any rank for None) with finite entries."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
+    m = np.asarray(a, dtype=np.float64, order="C")
     if ndim is not None and m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     if not np.isfinite(m).all():

@@ -19,7 +19,8 @@ construction and evaluation, this module provides:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,17 +57,15 @@ class KronTerm:
         object.__setattr__(self, "weight", float(weight))
         object.__setattr__(self, "factors", facs)
 
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
 
 @dataclass(frozen=True, eq=False)
 class SeparatedMatrix:
-    """Target shape plus an ordered list of Kronecker terms."""
+    """Target shape plus s Kronecker terms as read-only copies: ``weights``
+    (s,) and per factor position i ``stacks[i]`` (s, rows_i, cols_i)."""
 
     shape: Shape
-    terms: tuple[KronTerm, ...] = field(default=())
+    weights: Vector
+    stacks: tuple[np.ndarray, ...]
 
     def __init__(self, shape, terms=()):
         shape = Shape(int(shape[0]), int(shape[1]))
@@ -78,19 +77,40 @@ class SeparatedMatrix:
             if fs != shapes[0]:
                 raise ValueError(f"term {k} has factor shapes {fs}, but "
                                  f"term 0 has {shapes[0]}")
-        if shapes:
-            rows = math.prod(r for r, _ in shapes[0])
-            cols = math.prod(c for _, c in shapes[0])
-            if (rows, cols) != (shape.rows, shape.cols):
-                raise ValueError(
-                    f"terms materialize to {rows}x{cols}, expected "
-                    f"{shape.rows}x{shape.cols}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", terms)
+        stacks = tuple(map(np.array, zip(*(t.factors for t in terms))))
+        rows = math.prod(F.shape[1] for F in stacks)
+        cols = math.prod(F.shape[2] for F in stacks)
+        if stacks and (rows, cols) != shape:
+            raise ValueError(f"terms materialize to {rows}x{cols}, expected "
+                             f"{shape.rows}x{shape.cols}")
+        weights = np.array([t.weight for t in terms], dtype=np.float64)
+        for a in (weights, *stacks):
+            a.flags.writeable = False
+        self.__dict__.update(shape=shape, weights=weights, stacks=stacks)
 
     @property
     def separation_rank(self) -> int:
-        return len(self.terms)
+        return len(self.weights)
+
+    @cached_property
+    def terms(self) -> tuple[KronTerm, ...]:
+        """One ``KronTerm`` per term; its factors are slices of ``stacks``."""
+        return tuple(map(KronTerm, self.weights, zip(*self.stacks)))
+
+    @cached_property
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, Q) with materialize(self) = sum_k P[k] (x) Q[k]: P the
+        weighted Kronecker product of all factors but the last, Q the last
+        (1x1 ones for one-factor terms); stacks of length zero if empty."""
+        s = self.separation_rank
+        if not s:
+            return np.zeros((0, *self.shape)), np.zeros((0, 1, 1))
+        P, *rest = self.stacks
+        Q = rest.pop() if rest else np.ones((s, 1, 1))
+        for F in rest:
+            P = np.einsum("kij,kab->kiajb", P, F).reshape(
+                s, P.shape[1] * F.shape[1], -1)
+        return self.weights[:, None, None] * P, Q
 
 
 @dataclass(frozen=True)
@@ -108,33 +128,19 @@ class PrecisionBudget:
             raise ValueError("epsilon must be positive")
 
 
-def _stacks(S: SeparatedMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks (P, Q) with materialize(S) = sum_k P[k] (x) Q[k]: P is the
-    weighted batched Kronecker product of all factors but the last, Q 1x1
-    ones for one-factor terms; no terms give stacks of length zero."""
-    if not S.terms:
-        return np.zeros((0, *S.shape)), np.zeros((0, 1, 1))
-    w = np.array([t.weight for t in S.terms])
-    P, *rest = [np.array(f) for f in zip(*(t.factors for t in S.terms))]
-    for F in rest[:-1]:
-        P = np.einsum("kij,kab->kiajb", P, F).reshape(
-            len(w), P.shape[1] * F.shape[1], -1)
-    return w[:, None, None] * P, rest[-1] if rest else np.ones((len(w), 1, 1))
-
-
 def materialize(S: SeparatedMatrix) -> Matrix:
     """Dense sum of all weighted Kronecker terms (zero matrix if empty)."""
-    return _dense_kron_sum(*_stacks(S))
+    return _dense_kron_sum(*S._pair)
 
 
 def apply(S: SeparatedMatrix, x) -> Vector:
     """Matrix-free materialize(S) @ x for every factor count (``_kron_sum``
-    on the stacks of ``_stacks``).  x is validated once here; the factors
-    were validated when their ``KronTerm`` was built."""
+    on the stacks of ``S._pair``).  x is validated once here; the stacks
+    were validated when S was built."""
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
         raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
-    P, Q = _stacks(S)
+    P, Q = S._pair
     return _kron_sum(P, Q, x.reshape(1, P.shape[2], Q.shape[2])).reshape(-1)
 
 
@@ -149,13 +155,14 @@ def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
     exactly in exact arithmetic leave only that residue."""
     dense = materialize(S)
     fro = float(np.linalg.norm(dense))
-    bound = sum((len(S.terms) + t.order) * abs(t.weight)
-                * math.prod(map(np.linalg.norm, t.factors)) for t in S.terms)
+    norms = math.prod(np.linalg.norm(F, axis=(1, 2)) for F in S.stacks)
+    bound = (S.separation_rank + len(S.stacks)) * float(
+        np.sum(np.abs(S.weights) * norms))
     if fro <= np.finfo(np.float64).eps * bound:
         raise ZeroDivisionError(
             "condition number undefined: representation materializes to the "
             "zero matrix (terms cancel or are empty)")
-    gamma = math.sqrt(sum(t.weight * t.weight for t in S.terms)) / fro
+    gamma = math.sqrt(float(np.sum(S.weights * S.weights))) / fro
     return dense, gamma, [bool(gamma * b.mu * fro <= b.epsilon)
                           for b in budgets]
 
@@ -175,24 +182,21 @@ def check_precision(S: SeparatedMatrix, budget: PrecisionBudget) -> bool:
 def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
     """Rescale every factor to unit Frobenius norm, folding magnitudes into
     the term weights (sign absorbed into the first factor), and sort terms
-    by descending weight.  Exactly-zero-weight terms are dropped.  The
-    materialization is unchanged.
+    by descending weight (stably).  Exactly-zero-weight terms are dropped.
+    The materialization is unchanged.
     """
-    new_terms = []
-    for k, t in enumerate(S.terms):
-        norms = [float(np.linalg.norm(f)) for f in t.factors]
-        if any(n == 0.0 for n in norms):
-            raise ValueError(f"term {k} is degenerate: factor with zero norm")
-        weight = t.weight * math.prod(norms)
-        if weight == 0.0:
-            continue
-        factors = [f / n for f, n in zip(t.factors, norms)]
-        if weight < 0.0:
-            factors[0] = -factors[0]
-            weight = -weight
-        new_terms.append(KronTerm(weight, factors))
-    new_terms.sort(key=lambda t: t.weight, reverse=True)
-    return SeparatedMatrix(S.shape, new_terms)
+    norms = [np.linalg.norm(F, axis=(1, 2)) for F in S.stacks]
+    k = np.flatnonzero(np.any(np.equal(norms, 0.0), axis=0))
+    if k.size:
+        raise ValueError(f"term {k[0]} is degenerate: factor with zero norm")
+    weights = S.weights * math.prod(norms)
+    if norms:  # F / -n is -(F / n) exactly
+        norms[0] = np.copysign(norms[0], weights)
+    stacks = [F / n[:, None, None] for F, n in zip(S.stacks, norms)]
+    keep = np.flatnonzero(weights)
+    keep = keep[np.argsort(-np.abs(weights[keep]), kind="stable")]
+    return SeparatedMatrix(S.shape, map(KronTerm, np.abs(weights[keep]),
+                                        zip(*(F[keep] for F in stacks))))
 
 
 def rearrange(M, left: Shape, right: Shape) -> Matrix:
@@ -353,11 +357,20 @@ def factor_vector(u, dims) -> tuple[list[Vector], float]:
     add).
     """
     u = as_vector(u, "u")
+    return _factor_vector(u, _checked_dims(dims, u.size))
+
+
+def _checked_dims(dims, size: int) -> list[int]:
     dims = [int(d) for d in dims]
     if any(d < 1 for d in dims):
         raise ValueError(f"factor lengths must be positive, got {dims}")
-    if math.prod(dims) != u.size:
-        raise ValueError(f"length {u.size} != prod{tuple(dims)}")
+    if math.prod(dims) != size:
+        raise ValueError(f"length {size} != prod{tuple(dims)}")
+    return dims
+
+
+def _factor_vector(u: Vector, dims: list[int]) -> tuple[list[Vector], float]:
+    # unvalidated recursive core of factor_vector
     if len(dims) == 1:
         return [u.copy()], 0.0
     rest_len = math.prod(dims[1:])
@@ -373,7 +386,7 @@ def factor_vector(u, dims) -> tuple[list[Vector], float]:
         head = -head
         rest = -rest
     err_here_sq = float(np.sum(sigma[1:] ** 2))
-    rest_factors, rest_err = factor_vector(rest, dims[1:])
+    rest_factors, rest_err = _factor_vector(rest, dims[1:])
     return [head] + rest_factors, math.sqrt(err_here_sq + rest_err**2)
 
 
@@ -403,8 +416,8 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
     terms = []
     errors = []
     for u, v in zip(us, vs):
-        u_parts, du = factor_vector(u, row_factors)
-        v_parts, dv = factor_vector(v, col_factors)
+        u_parts, du = _factor_vector(u, _checked_dims(row_factors, u.size))
+        v_parts, dv = _factor_vector(v, _checked_dims(col_factors, v.size))
         terms.append(KronTerm(1.0, [np.outer(a, b)
                                     for a, b in zip(u_parts, v_parts)]))
         # u^ is orthogonal to u - u^ (norm du), v^ to v - v^ (norm dv), so

@@ -9,8 +9,12 @@ from lsradapt import (
     apply_kron2_flops,
     apply_kron2_transpose,
     as_matrix,
+    as_vector,
+    forward,
+    init,
     kron,
     kron_multi,
+    plan_shapes,
     unvec,
     vec,
 )
@@ -231,3 +235,14 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.ones(3))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 1.0]]))
+
+
+def test_zero_dim_input_is_refused_by_rank():
+    # a 0-d array is not promoted to a length-1 vector anywhere
+    with pytest.raises(ValueError, match="must be 1-D, got ndim=0"):
+        as_vector(3.0)
+    with pytest.raises(ValueError, match="must be 2-D, got ndim=0"):
+        as_matrix(3.0)
+    layer = init(np.eye(4), plan_shapes(4, 4, 2), s=1)
+    with pytest.raises(ValueError, match=r"x has shape \(\)"):
+        forward(layer, 3.0)

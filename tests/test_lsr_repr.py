@@ -150,6 +150,45 @@ class TestStackedKronSum:
                 KronTerm(1.0, [g.normal(size=(3, 2)), g.normal(size=(2, 3))])])
 
 
+class TestStoredLayout:
+    def _two_term(self):
+        g = np.random.default_rng(68)
+        factors = [[g.normal(size=(2, 3)), g.normal(size=(3, 2))]
+                   for _ in range(2)]
+        return factors, SeparatedMatrix(
+            Shape(6, 6), [KronTerm(w, fs) for w, fs in zip([1.5, -0.5],
+                                                           factors)])
+
+    def test_weights_and_stacks_are_read_only_copies(self):
+        _, S = self._two_term()
+        assert np.array_equal(S.weights, [1.5, -0.5])
+        assert [F.shape for F in S.stacks] == [(2, 2, 3), (2, 3, 2)]
+        for a in (S.weights, *S.stacks):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_caller_writes_do_not_reach_the_representation(self):
+        factors, S = self._two_term()
+        before = materialize(S)
+        factors[0][0][...] = 0.0
+        factors[1][1][...] = 7.0
+        assert np.array_equal(materialize(S), before)
+
+    def test_terms_are_views_of_the_stacks(self):
+        factors, S = self._two_term()
+        assert S.separation_rank == len(S.terms) == 2
+        for k, t in enumerate(S.terms):
+            assert t.weight == S.weights[k]
+            for i, f in enumerate(t.factors):
+                assert np.shares_memory(f, S.stacks[i][k])
+                assert np.array_equal(f, factors[k][i])
+                assert not f.flags.writeable
+
+    def test_empty_has_no_stacks(self):
+        S = SeparatedMatrix(Shape(3, 5))
+        assert S.weights.shape == (0,) and S.stacks == () and S.terms == ()
+
+
 class TestConditionNumber:
     def test_single_unit_norm_term(self):
         g = np.random.default_rng(24)
