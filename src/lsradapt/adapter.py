@@ -39,11 +39,15 @@ A plain low-rank adapter (``LoraLayer``, ``W x + alpha * A (B x)``) is
 the comparison baseline.  It runs through the same dense-factor core,
 and its dA and dB are its gradients as they are.  Both layers share one
 interface, so callers never branch on the type: ``params`` maps names
-(A1, A2, B1, B2 or A, B) to the trainable arrays themselves,
-``n_params`` counts them,
+(A1, A2, B1, B2 or A, B) to the trainable arrays themselves, which are
+views into one contiguous vector ``flat`` that the constructor fills with
+copies of its arrays, ``n_params`` counts them,
 ``update_factors()`` gives the dense (A, B) before alpha, and
 ``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
-``grads`` keyed like ``params``.
+``grads`` keyed like ``params``.  The public calls form the factors on
+every call; the training loop forms them once per parameter state and
+runs the same unchecked cores, ``_low_rank_forward`` and
+``_low_rank_backward``, on them.
 """
 
 import math
@@ -104,15 +108,57 @@ def plan_shapes(w1: int, w2: int, r: int) -> ShapePlan:
                      b1=b1, b2=b2)
 
 
+class _FlatParams:
+    """Trainable arrays held as named views into one contiguous float64
+    vector, ``flat``, in the order of ``params``."""
+
+    def _store(self, arrays: dict[str, np.ndarray]) -> None:
+        # copy the checked arrays into a new flat vector
+        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
+        self._shapes = {name: a.shape for name, a in arrays.items()}
+        self._bind()
+
+    def _bind(self) -> None:
+        # make each named attribute its view into flat
+        self._params = self._views(self.flat)
+        vars(self).update(self._params)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``flat`` (the parameters, or a gradient that
+        matches them) laid out like ``params``."""
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            size = math.prod(shape)
+            out[name] = flat[start:start + size].reshape(shape)
+            start += size
+        return out
+
+    def __getstate__(self) -> dict:
+        # a copy or pickle would turn each view into an array of its own,
+        # cut off from flat; carry flat alone and bind the views again
+        return {k: v for k, v in vars(self).items()
+                if k != "_params" and k not in self._shapes}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind()
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Name -> trainable array, each a view into ``flat``."""
+        return dict(self._params)
+
+
 @dataclass(eq=False)
-class LsrAdaptLayer:
+class LsrAdaptLayer(_FlatParams):
     """Frozen base weight plus the four Kronecker factor families.
 
     Factor families are stacked along the leading axis: A1[k] is the k-th
-    a1 x r1 factor, etc.  The factor arrays are the trainable state; W is
-    never updated.  Construction checks every array (``kron_core._checked``:
-    float64, the right shape, finite entries) and that alpha is finite, so
-    no later call has to.
+    a1 x r1 factor, etc.  The factor arrays are the trainable state, held
+    as views into ``flat`` (A1|A2|B1|B2); W is never updated.
+    Construction checks every array (``kron_core._checked``: float64, the
+    right shape, finite entries) and that alpha is finite, so no later
+    call has to, and copies the factor arrays into ``flat``.
     """
 
     W: Matrix
@@ -135,15 +181,13 @@ class LsrAdaptLayer:
             raise ValueError("separation rank s must be >= 1")
         expected = {"A1": (self.s, p.a1, p.r1), "A2": (self.s, p.a2, p.r2),
                     "B1": (self.s, p.r1, p.b1), "B2": (self.s, p.r2, p.b2)}
+        arrays = {}
         for name, shape in expected.items():
-            arr = _checked(getattr(self, name), name, 3)
-            if arr.shape != shape:
-                raise ValueError(f"{name} is {arr.shape}, expected {shape}")
-            setattr(self, name, arr)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return {"A1": self.A1, "A2": self.A2, "B1": self.B1, "B2": self.B2}
+            arrays[name] = _checked(getattr(self, name), name, 3)
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{name} is {arrays[name].shape}, expected {shape}")
+        self._store(arrays)
 
     @property
     def n_params(self) -> int:
@@ -153,6 +197,14 @@ class LsrAdaptLayer:
         """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
         return (_dense_kron_sum(self.A1, self.A2),
                 _dense_kron_sum(self.B1, self.B2))
+
+    def _gradients(self, dA: Matrix, dB: Matrix, out=None) -> dict:
+        # the dense factor gradients projected onto the four stacks, into
+        # out (``_views`` of a flat gradient) or a new flat gradient
+        out = out or self._views(np.empty(self.flat.size))
+        _project(dA, self.A1, self.A2, out=(out["A1"], out["A2"]))
+        _project(dB, self.B1, self.B2, out=(out["B1"], out["B2"]))
+        return out
 
     # module functions are looked up per call, so wrappers set on them
     # see method calls too
@@ -164,8 +216,9 @@ class LsrAdaptLayer:
 
 
 @dataclass(eq=False)
-class LoraLayer:
-    """Plain low-rank adapter baseline: y = W x + alpha * A (B x)."""
+class LoraLayer(_FlatParams):
+    """Plain low-rank adapter baseline: y = W x + alpha * A (B x), with A
+    and B views into ``flat`` (A|B), copied there at construction."""
 
     W: Matrix
     alpha: float
@@ -176,22 +229,18 @@ class LoraLayer:
         self.W = as_matrix(self.W, "W")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        self.A = as_matrix(self.A, "A")
-        self.B = as_matrix(self.B, "B")
+        A = as_matrix(self.A, "A")
+        B = as_matrix(self.B, "B")
         w1, w2 = self.W.shape
-        if self.A.shape[0] != w1 or self.B.shape[1] != w2 \
-                or self.A.shape[1] != self.B.shape[0]:
+        if A.shape[0] != w1 or B.shape[1] != w2 or A.shape[1] != B.shape[0]:
             raise ValueError(
-                f"inconsistent shapes: W {self.W.shape}, A {self.A.shape}, "
-                f"B {self.B.shape}")
+                f"inconsistent shapes: W {self.W.shape}, A {A.shape}, "
+                f"B {B.shape}")
+        self._store({"A": A, "B": B})
 
     @property
     def r(self) -> int:
         return self.A.shape[1]
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return {"A": self.A, "B": self.B}
 
     @property
     def n_params(self) -> int:
@@ -199,6 +248,13 @@ class LoraLayer:
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
         return self.A, self.B
+
+    def _gradients(self, dA: Matrix, dB: Matrix, out=None) -> dict:
+        if out is None:
+            return {"A": dA, "B": dB}
+        out["A"][...] = dA
+        out["B"][...] = dB
+        return out
 
     def forward(self, x) -> np.ndarray:
         return lora_forward(self, x)
@@ -248,16 +304,25 @@ def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
     x is (n, w2) or a single vector of length w2; the result is (n, w1)
     or a vector of length w1 to match.
     """
-    return _low_rank_forward(layer, x)
+    return _forward(layer, x)
 
 
-def _low_rank_forward(layer, x) -> np.ndarray:
-    # shared by both layer types: Y = X W^T + alpha * (X B^T) A^T; with
-    # B = 0 (a fresh layer) the update adds exact zeros, so Y is W x
+def _forward(layer, x) -> np.ndarray:
+    # the checked forward of both layer types, factors formed per call
     X, single = _as_batch(x, layer.W.shape[1], "x")
-    Y = (X[0] if single else X) @ layer.W.T
     A, B = layer.update_factors()
-    Y += layer.alpha * _apply_a(A, _apply_b(B, X)).reshape(Y.shape)
+    return _low_rank_forward(layer, X[0] if single else X, A,
+                             _apply_b(B, X))
+
+
+def _low_rank_forward(layer, X: np.ndarray, A: Matrix,
+                      U: np.ndarray) -> np.ndarray:
+    """Unchecked Y = X W^T + alpha * U A^T for an (n, w2) batch X, or a
+    single vector, and the (n, r) U = X B^T, on factors the caller
+    formed; with B = 0 (a fresh layer) the update adds exact zeros, so Y
+    is X W^T."""
+    Y = X @ layer.W.T
+    Y += layer.alpha * _apply_a(A, U).reshape(Y.shape)
     return Y
 
 
@@ -287,27 +352,31 @@ def backward(layer: LsrAdaptLayer, x, g):
     docstring for the derivation: the dense gradients of A_sum and B_sum
     are projected onto the factor stacks.
     """
-    dA, dB, dx = _low_rank_backward(layer, x, g)
-    dA1, dA2 = _project(dA, layer.A1, layer.A2)
-    dB1, dB2 = _project(dB, layer.B1, layer.B2)
-    return {"A1": dA1, "A2": dA2, "B1": dB1, "B2": dB2}, dx
+    dA, dB, dx = _backward(layer, x, g)
+    return layer._gradients(dA, dB), dx
 
 
-def _low_rank_backward(layer, x, g):
-    """Dense (dA, dB, dx) of the map y = W x + alpha * A (B x) on the
-    layer's ``update_factors()``, shared by both layer types."""
+def _backward(layer, x, g):
+    # the checked backward of both layer types, factors formed per call
     w1, w2 = layer.W.shape
     X, single = _as_batch(x, w2, "x")
     G, _ = _as_batch(g, w1, "g")
     if G.shape[0] != X.shape[0]:
         raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
-    alpha = layer.alpha
     A, B = layer.update_factors()
-    U = _apply_b(B, X)
+    dA, dB, dx = _low_rank_backward(layer, X, G, A, B, _apply_b(B, X))
+    return dA, dB, dx.reshape(-1) if single else dx
+
+
+def _low_rank_backward(layer, X: np.ndarray, G: np.ndarray, A: Matrix,
+                       B: Matrix, U: np.ndarray):
+    """Unchecked dense (dA, dB, dx) of the map y = W x + alpha * A (B x)
+    for (n, w2) and (n, w1) batches X and G and U = X B^T, on factors the
+    caller formed (both layer types)."""
+    alpha = layer.alpha
     H = G @ A  # rows of A^T g
     dx = G @ layer.W + alpha * (H @ B)
-    return (alpha * (G.T @ U), alpha * (H.T @ X),
-            dx.reshape(-1) if single else dx)
+    return alpha * (G.T @ U), alpha * (H.T @ X), dx
 
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
@@ -334,15 +403,15 @@ def lora_init(W, r: int, alpha: float = DEFAULT_ALPHA,
 
 def lora_forward(layer: LoraLayer, x) -> np.ndarray:
     """y = W x + alpha * A (B x) for every row of x (or one vector)."""
-    return _low_rank_forward(layer, x)
+    return _forward(layer, x)
 
 
 def lora_backward(layer: LoraLayer, x, g):
     """Gradients ``({"A": dA, "B": dB}, dx)`` for the baseline forward
     map: dA and dB summed over the rows of x and g, dx one row per
     sample."""
-    dA, dB, dx = _low_rank_backward(layer, x, g)
-    return {"A": dA, "B": dB}, dx
+    dA, dB, dx = _backward(layer, x, g)
+    return layer._gradients(dA, dB), dx
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:

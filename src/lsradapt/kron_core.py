@@ -110,19 +110,31 @@ def _dense_kron_sum(P: np.ndarray, Q: np.ndarray) -> Matrix:
                       pr, qr, pc, qc)
 
 
-def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray):
+def _project(D: Matrix, F1: np.ndarray, F2: np.ndarray, out=None):
     """Gradients of <D, sum_k F1[k] (x) F2[k]> with respect to both
     stacks (the adjoint of ``_dense_kron_sum``): one product of the
-    rearranged D with each flattened stack."""
+    rearranged D with each flattened stack, written into ``out`` (a pair
+    of C-contiguous arrays shaped like F1 and F2) when it is given."""
     s, m1, c1 = F1.shape
     m2, c2 = F2.shape[1:]
     R = _rearrange(D, m1, c1, m2, c2)
-    return ((F2.reshape(s, -1) @ R.T).reshape(F1.shape),
-            (F1.reshape(s, -1) @ R).reshape(F2.shape))
+    d1, d2 = out or (np.empty(F1.shape), np.empty(F2.shape))
+    np.matmul(F2.reshape(s, -1), R.T, out=d1.reshape(s, -1))
+    np.matmul(F1.reshape(s, -1), R, out=d2.reshape(s, -1))
+    return d1, d2
 
 
-def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """sum_k P[k] @ Z[i] @ Q[k]^T for every i.
+def _side_by_side(P: np.ndarray) -> Matrix:
+    """The (s, pr, pc) stack P as one (pr, s * pc) matrix
+    [P[0] P[1] ... P[s-1]]: the left operand of ``_kron_sum``."""
+    s, pr, pc = P.shape
+    return P.transpose(1, 0, 2).reshape(pr, s * pc)
+
+
+def _kron_sum(P_wide: Matrix, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sum_k P[k] @ Z[i] @ Q[k]^T for every i, given P side by side
+    (``P_wide = _side_by_side(P)``, so a caller applying one P often
+    forms it once).
 
     P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
     (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
@@ -131,17 +143,17 @@ def _kron_sum(P: np.ndarray, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
     contracts over (k, row) in one batched matmul, so the sum over k
     needs no pass of its own.
     """
-    s, pr, pc = P.shape
-    qr, qc = Q.shape[1:]
-    n = Z.shape[0]
+    s, qr, qc = Q.shape
+    n, pc = Z.shape[:2]
     T = _rearrange(Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T,
                    n, s, pc, qr).reshape(n, s * pc, qr)
-    return P.transpose(1, 0, 2).reshape(pr, s * pc) @ T
+    return P_wide @ T
 
 
 def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
-    # unvalidated core of apply_kron2: _kron_sum on a stack of one
-    return _kron_sum(P[None], Q[None],
+    # unvalidated core of apply_kron2: _kron_sum on a stack of one, whose
+    # side-by-side form is P itself
+    return _kron_sum(P, Q[None],
                      x.reshape(1, P.shape[1], Q.shape[1])).reshape(-1)
 
 

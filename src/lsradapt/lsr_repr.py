@@ -31,6 +31,7 @@ from .kron_core import (
     _dense_kron_sum,
     _kron_sum,
     _rearrange,
+    _side_by_side,
     as_matrix,
     as_vector,
 )
@@ -56,6 +57,15 @@ class KronTerm:
             raise ValueError(f"term weight {weight} is not finite")
         object.__setattr__(self, "weight", float(weight))
         object.__setattr__(self, "factors", facs)
+
+    @classmethod
+    def _view(cls, weight, factors) -> "KronTerm":
+        # a term over factors that are already checked (slices of a
+        # SeparatedMatrix's read-only stacks), built without checking again
+        term = object.__new__(cls)
+        object.__setattr__(term, "weight", float(weight))
+        object.__setattr__(term, "factors", tuple(factors))
+        return term
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +105,7 @@ class SeparatedMatrix:
     @cached_property
     def terms(self) -> tuple[KronTerm, ...]:
         """One ``KronTerm`` per term; its factors are slices of ``stacks``."""
-        return tuple(map(KronTerm, self.weights, zip(*self.stacks)))
+        return tuple(map(KronTerm._view, self.weights, zip(*self.stacks)))
 
     @cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +121,11 @@ class SeparatedMatrix:
             P = np.einsum("kij,kab->kiajb", P, F).reshape(
                 s, P.shape[1] * F.shape[1], -1)
         return self.weights[:, None, None] * P, Q
+
+    @cached_property
+    def _pair_wide(self) -> np.ndarray:
+        """``_pair``'s P side by side, the left operand of every ``apply``."""
+        return _side_by_side(self._pair[0])
 
 
 @dataclass(frozen=True)
@@ -135,13 +150,15 @@ def materialize(S: SeparatedMatrix) -> Matrix:
 
 def apply(S: SeparatedMatrix, x) -> Vector:
     """Matrix-free materialize(S) @ x for every factor count (``_kron_sum``
-    on the stacks of ``S._pair``).  x is validated once here; the stacks
-    were validated when S was built."""
+    on the stacks of ``S._pair``, with its P side by side formed once per
+    representation).  x is validated once here; the stacks were
+    validated when S was built."""
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
         raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
     P, Q = S._pair
-    return _kron_sum(P, Q, x.reshape(1, P.shape[2], Q.shape[2])).reshape(-1)
+    return _kron_sum(S._pair_wide, Q,
+                     x.reshape(1, P.shape[2], Q.shape[2])).reshape(-1)
 
 
 def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
@@ -152,17 +169,28 @@ def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
     The materialization counts as zero, and gamma as undefined, when its
     Frobenius norm is within materialize's own round-off bound
     ``(s + order) * eps * sum_k |w_k| prod_i ||F_ki||_F``: terms that cancel
-    exactly in exact arithmetic leave only that residue."""
-    dense = materialize(S)
-    fro = float(np.linalg.norm(dense))
-    norms = math.prod(np.linalg.norm(F, axis=(1, 2)) for F in S.stacks)
-    bound = (S.separation_rank + len(S.stacks)) * float(
-        np.sum(np.abs(S.weights) * norms))
+    exactly in exact arithmetic leave only that residue.
+
+    A representation whose materialization, round-off bound or weight
+    norm overflows float64 is a ``NumericalError``: neither its norm nor
+    its cancellation can be told."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = materialize(S)
+        fro = float(np.linalg.norm(dense))
+        norms = math.prod(np.linalg.norm(F, axis=(1, 2)) for F in S.stacks)
+        bound = (S.separation_rank + len(S.stacks)) * float(
+            np.sum(np.abs(S.weights) * norms))
+        weight_sq = float(np.sum(S.weights * S.weights))
+    for name, value in (("materialization", fro), ("round-off bound", bound),
+                        ("term-weight norm", weight_sq)):
+        if not math.isfinite(value):
+            raise NumericalError(f"representation overflows float64: its "
+                                 f"{name} is not finite")
     if fro <= np.finfo(np.float64).eps * bound:
         raise ZeroDivisionError(
             "condition number undefined: representation materializes to the "
             "zero matrix (terms cancel or are empty)")
-    gamma = math.sqrt(float(np.sum(S.weights * S.weights))) / fro
+    gamma = math.sqrt(weight_sq) / fro
     return dense, gamma, [bool(gamma * b.mu * fro <= b.epsilon)
                           for b in budgets]
 
@@ -189,7 +217,12 @@ def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
     k = np.flatnonzero(np.any(np.equal(norms, 0.0), axis=0))
     if k.size:
         raise ValueError(f"term {k[0]} is degenerate: factor with zero norm")
-    weights = S.weights * math.prod(norms)
+    with np.errstate(over="ignore"):
+        weights = S.weights * math.prod(norms)
+    k = np.flatnonzero(np.isinf(weights))
+    if k.size:
+        raise ValueError(f"term {k[0]} weight overflows float64 when its "
+                         f"factor norms are folded in")
     if norms:  # F / -n is -(F / n) exactly
         norms[0] = np.copysign(norms[0], weights)
     stacks = [F / n[:, None, None] for F, n in zip(S.stacks, norms)]

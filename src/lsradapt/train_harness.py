@@ -26,7 +26,7 @@ import numpy as np
 
 from . import adapter
 from .adapter import ShapePlan
-from .kron_core import Matrix, Shape, _dense_kron_sum
+from .kron_core import Matrix, Shape, _checked, _dense_kron_sum
 from .rng import rng_stream
 
 # rows of the update formed at a time by recovery_error
@@ -201,40 +201,45 @@ def recovery_error(layer, task: SyntheticTask) -> float:
     return math.sqrt(total) / float(denom)
 
 
-def _dataset_loss(layer, task: SyntheticTask) -> float:
-    resid = layer.forward(task.inputs) - task.targets
-    return 0.5 * float(np.vdot(resid, resid)) / task.n_samples
+def _dataset_loss(layer, inputs: np.ndarray, targets: np.ndarray,
+                  factors: tuple[Matrix, Matrix]) -> float:
+    """mean_i 0.5 * ||forward(x_i) - t_i||^2 over the checked dataset, on
+    the layer's current ``update_factors()``."""
+    A, B = factors
+    resid = adapter._low_rank_forward(
+        layer, inputs, A, adapter._apply_b(B, inputs)) - targets
+    return 0.5 * float(np.vdot(resid, resid)) / len(inputs)
 
 
 class _Optimizer:
-    def __init__(self, config: OptimizerConfig, params: dict[str, np.ndarray]):
+    """SGD with momentum or Adam over a layer's flat parameter vector: one
+    fused update of the whole vector per step."""
+
+    def __init__(self, config: OptimizerConfig, size: int):
         self.config = config
         self.t = 0
         if config.kind == "sgd":
-            self.velocity = {k: np.zeros_like(p) for k, p in params.items()}
+            self.velocity = np.zeros(size)
         else:
-            self.m = {k: np.zeros_like(p) for k, p in params.items()}
-            self.v = {k: np.zeros_like(p) for k, p in params.items()}
+            self.m = np.zeros(size)
+            self.v = np.zeros(size)
 
-    def step(self, params, grads):
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         c = self.config
         self.t += 1
         if c.kind == "sgd":
-            for k, p in params.items():
-                vel = self.velocity[k]
-                vel *= c.momentum
-                vel += grads[k]
-                p -= c.learning_rate * vel
+            self.velocity *= c.momentum
+            self.velocity += grad
+            flat -= c.learning_rate * self.velocity
         else:
             bc1 = 1.0 - c.beta1**self.t
             bc2 = 1.0 - c.beta2**self.t
-            for k, p in params.items():
-                m, v = self.m[k], self.v[k]
-                m *= c.beta1
-                m += (1.0 - c.beta1) * grads[k]
-                v *= c.beta2
-                v += (1.0 - c.beta2) * grads[k] ** 2
-                p -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps_hat)
+            m, v = self.m, self.v
+            m *= c.beta1
+            m += (1.0 - c.beta1) * grad
+            v *= c.beta2
+            v += (1.0 - c.beta2) * grad ** 2
+            flat -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps_hat)
 
 
 class _BatchSampler:
@@ -264,34 +269,49 @@ class _BatchSampler:
 def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     """Minimize mean squared error over the adapter parameters (W frozen).
 
-    The per-batch loss is mean_i 0.5 * ||forward(x_i) - t_i||^2; each step
-    makes one batched forward and one batched backward call.  The loss
-    curve records the full-dataset value of the same quantity, at step 0
-    and roughly every steps/100 steps thereafter.
+    The per-batch loss is mean_i 0.5 * ||forward(x_i) - t_i||^2.  The
+    task's inputs and targets are checked once, here.  The layer's dense
+    factors are formed once per parameter state: each step's forward and
+    backward share them and U = X B^T, its gradient fills one flat buffer
+    laid out like ``layer.flat``, and the optimizer updates ``layer.flat``
+    in one fused step.  The loss curve records the full-dataset value of
+    the same quantity, at step 0 and roughly every steps/100 steps
+    thereafter.
     """
+    w1, w2 = layer.W.shape
     if layer.W.shape != task.W.shape:
         raise ValueError("layer and task disagree on the base weight shape")
     if task.n_samples == 0:
         raise ValueError("cannot train on an empty task")
-    params = layer.params
-    opt = _Optimizer(config, params)
+    inputs = _checked(task.inputs, "task.inputs", 2)
+    targets = _checked(task.targets, "task.targets", 2)
+    if inputs.shape[1] != w2 or targets.shape[1] != w1:
+        raise ValueError(f"task.inputs is {inputs.shape} and task.targets is "
+                         f"{targets.shape}, the layer maps {w2} to {w1}")
+    grad = np.zeros(layer.flat.size)
+    grads = layer._views(grad)
+    opt = _Optimizer(config, grad.size)
     sampler = _BatchSampler(task.n_samples, config.batch_size, config.seed)
     log_every = max(1, config.steps // 100)
 
     t0 = time.perf_counter()
-    loss_curve = [_dataset_loss(layer, task)]
+    A, B = layer.update_factors()
+    loss_curve = [_dataset_loss(layer, inputs, targets, (A, B))]
     for step in range(config.steps):
         idx = sampler.next()
-        scale = 1.0 / len(idx)
-        x = task.inputs[idx]
-        resid = layer.forward(x) - task.targets[idx]
+        X = inputs[idx]
+        U = adapter._apply_b(B, X)
+        resid = adapter._low_rank_forward(layer, X, A, U) - targets[idx]
         if not math.isfinite(float(np.vdot(resid, resid))):
             raise DivergenceError(step)
         # gradients are linear in the residual, so scale it, not them
-        grads, _ = layer.backward(x, scale * resid)
-        opt.step(params, grads)
+        dA, dB, _ = adapter._low_rank_backward(
+            layer, X, (1.0 / len(idx)) * resid, A, B, U)
+        layer._gradients(dA, dB, grads)
+        opt.step(layer.flat, grad)
+        A, B = layer.update_factors()
         if (step + 1) % log_every == 0 or step == config.steps - 1:
-            loss = _dataset_loss(layer, task)
+            loss = _dataset_loss(layer, inputs, targets, (A, B))
             if not math.isfinite(loss):
                 raise DivergenceError(step)
             loss_curve.append(loss)

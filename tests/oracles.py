@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the Kronecker
 oracle is a naive quadruple loop, the SVD oracle is a one-sided Jacobi
 iteration, gradients come from central finite differences, and the
 training reference runs Adam on materialized update matrices.  Nothing
-here imports the library.
+here imports the library; ``reference_train`` drives a layer only
+through its public ``params``, ``forward`` and ``backward``.
 """
 
 import math
@@ -228,3 +229,55 @@ def dense_adam_recovery(kind, w1, w2, r, s, plant_terms, n_samples, steps,
                 np.sqrt(v2[k] / (1.0 - 0.999**t)) + 1e-8)
     A, B = factors()
     return float(np.linalg.norm(alpha * A @ B - delta) / np.linalg.norm(delta))
+
+
+def reference_train(layer, task, config):
+    """Loss curve of the training loop written plainly, with ``layer``
+    trained in place: per minibatch one public ``layer.forward`` and one
+    ``layer.backward`` call (each forms the factors again), then SGD with
+    momentum or Adam array by array over ``layer.params``; every dataset
+    loss is one public forward over all inputs.  Batches follow the
+    documented sampler: sequential wrap-around over a permutation from the
+    ``shuffle`` stream, drawn again at each epoch.  The loss is logged at
+    step 0, every max(1, steps // 100) steps and after the last step."""
+    params = layer.params
+    state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+    n = len(task.inputs)
+    shuffle = _stream(config.seed, "shuffle")
+    order, pos = shuffle.permutation(n), 0
+    log_every = max(1, config.steps // 100)
+
+    def dataset_loss():
+        resid = layer.forward(task.inputs) - task.targets
+        return 0.5 * float(np.vdot(resid, resid)) / n
+
+    curve = [dataset_loss()]
+    for t in range(1, config.steps + 1):
+        parts, count = [], 0
+        while count < config.batch_size:
+            if pos == n:
+                order, pos = shuffle.permutation(n), 0
+            take = min(config.batch_size - count, n - pos)
+            parts.append(order[pos:pos + take])
+            pos += take
+            count += take
+        idx = np.concatenate(parts)
+        x = task.inputs[idx]
+        resid = layer.forward(x) - task.targets[idx]
+        grads, _ = layer.backward(x, (1.0 / len(idx)) * resid)
+        for k, p in params.items():
+            m, v = state[k]
+            if config.kind == "sgd":
+                m *= config.momentum
+                m += grads[k]
+                p -= config.learning_rate * m
+            else:
+                m *= config.beta1
+                m += (1.0 - config.beta1) * grads[k]
+                v *= config.beta2
+                v += (1.0 - config.beta2) * grads[k] ** 2
+                p -= config.learning_rate * (m / (1.0 - config.beta1**t)) / (
+                    np.sqrt(v / (1.0 - config.beta2**t)) + config.eps_hat)
+        if t % log_every == 0 or t == config.steps:
+            curve.append(dataset_loss())
+    return curve

@@ -144,6 +144,21 @@ class TestApprox:
                       "--out", str(tmp_path / "dec"))
         assert code == 4
 
+    def test_overflowing_representation_is_numerical_error(
+            self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.eye(4))
+        huge = lsradapt.lsr_repr.SeparatedMatrix((4, 4), [
+            lsradapt.lsr_repr.KronTerm(1e200, [1e100 * np.eye(2)] * 2)])
+        monkeypatch.setattr(lsradapt.lsr_repr, "nearest_kron_sum",
+                            lambda *args: huge)
+        code, out = run(capsys, "approx", str(src), "--left", "2x2",
+                        "--right", "2x2", "--terms", "1",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 4
+        assert "overflows" in out
+        assert not (tmp_path / "dec").exists()
+
     def test_input_over_memory_cap_is_numerical_error(self, tmp_path, capsys,
                                                        monkeypatch):
         src = tmp_path / "m.txt"

@@ -30,7 +30,8 @@ from lsradapt import (
     truncated_svd,
     vec,
 )
-from lsradapt.kron_core import _rearrange
+from lsradapt.kron_core import _kron_sum, _rearrange, _side_by_side
+from lsradapt.lsr_repr import NumericalError
 
 from oracles import jacobi_singular_values, naive_kron, rel_err
 
@@ -98,6 +99,20 @@ class TestApply:
                             [KronTerm(1.0, [np.eye(2), np.eye(2)])])
         with pytest.raises(ValueError):
             apply(S, np.ones(5))
+
+    def test_side_by_side_factor_is_formed_once(self, monkeypatch):
+        g = np.random.default_rng(67)
+        S = random_separated(g, Shape(12, 8), 3, (3, 4), (4, 2))
+        calls = []
+        monkeypatch.setattr(lsradapt.lsr_repr, "_side_by_side",
+                            lambda P: calls.append(P) or _side_by_side(P))
+        xs = g.normal(size=(3, 8))
+        got = [apply(S, x) for x in xs]
+        assert len(calls) == 1
+        P, Q = S._pair
+        for x, y in zip(xs, got):
+            want = _kron_sum(_side_by_side(P), Q, x.reshape(1, 4, 2))
+            assert np.array_equal(y, want.reshape(-1))
 
 
 FACTOR_SHAPES = {
@@ -183,6 +198,20 @@ class TestStoredLayout:
                 assert np.shares_memory(f, S.stacks[i][k])
                 assert np.array_equal(f, factors[k][i])
                 assert not f.flags.writeable
+
+    def test_terms_view_does_not_check_again(self, monkeypatch):
+        _, S = self._two_term()
+        checks = []
+        original = lsradapt.lsr_repr.as_matrix
+        monkeypatch.setattr(lsradapt.lsr_repr, "as_matrix",
+                            lambda a, name: checks.append(name) or
+                            original(a, name))
+        assert len(S.terms) == 2
+        assert checks == []
+        # a term built from outside keeps every check
+        with pytest.raises(ValueError, match="non-finite"):
+            KronTerm(1.0, [np.array([[np.nan]])])
+        assert checks == ["factor 0"]
 
     def test_empty_has_no_stacks(self):
         S = SeparatedMatrix(Shape(3, 5))
@@ -282,6 +311,18 @@ class TestDiagnose:
             diagnose(SeparatedMatrix(Shape(2, 2)),
                      [PrecisionBudget(1e-3, 1.0)])
 
+    @pytest.mark.parametrize("scale,what", [(1e100, "materialization"),
+                                            (1e-100, "term-weight norm")])
+    def test_overflow_is_numerical_error(self, scale, what):
+        # 1e200 * (1e100)^2 overflows the materialization; 1e200 alone
+        # overflows the squared weight norm; no RuntimeWarning escapes
+        S = SeparatedMatrix(Shape(4, 4), [KronTerm(
+            1e200, [scale * np.eye(2), scale * np.eye(2)])])
+        for call in (lambda: diagnose(S, [PrecisionBudget(1e-3, 1.0)]),
+                     lambda: condition_number(S)):
+            with pytest.raises(NumericalError, match=f"overflows.*{what}"):
+                call()
+
 
 class TestNormalizeTerms:
     def test_folds_magnitudes_into_weight(self):
@@ -321,6 +362,12 @@ class TestNormalizeTerms:
         weights = [t.weight for t in N.terms]
         assert weights == sorted(weights, reverse=True)
         assert all(w > 0 for w in weights)
+
+    def test_weight_overflow_names_term(self):
+        S = SeparatedMatrix(Shape(4, 4), [KronTerm(
+            1e200, [1e100 * np.eye(2), 1e100 * np.eye(2)])])
+        with pytest.raises(ValueError, match="term 0 weight overflows"):
+            normalize_terms(S)
 
     def test_zero_factor_names_term(self):
         S = SeparatedMatrix(Shape(4, 4), [

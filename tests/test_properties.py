@@ -22,7 +22,12 @@ from lsradapt.io import (
     write_matrix_text,
     write_separated,
 )
-from lsradapt.kron_core import _dense_kron_sum, _kron_sum, _project
+from lsradapt.kron_core import (
+    _dense_kron_sum,
+    _kron_sum,
+    _project,
+    _side_by_side,
+)
 
 from oracles import naive_kron, naive_kron_sum_grads, rel_err
 
@@ -193,7 +198,7 @@ def test_kron_sum_matches_loop_oracle(case):
     g, P, Q = seeded_stacks(case)
     n = 1 + case[0] % 3
     Z = g.normal(size=(n, P.shape[2], Q.shape[2]))
-    got = _kron_sum(P, Q, Z)
+    got = _kron_sum(_side_by_side(P), Q, Z)
     assert got.shape == (n, P.shape[1], Q.shape[1])
     assert rel_err(got.reshape(n, -1),
                    Z.reshape(n, -1) @ dense_oracle(P, Q).T) <= 1e-12

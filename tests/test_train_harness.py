@@ -1,10 +1,15 @@
 """Synthetic tasks, the optimization loop, and the paired comparison."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from lsradapt import (
     DensePlant,
+    LoraLayer,
+    LsrAdaptLayer,
     DivergenceError,
     KronSumPlant,
     LowRankPlant,
@@ -23,9 +28,15 @@ from lsradapt import (
     train,
 )
 
+from lsradapt import train_harness
 from lsradapt.train_harness import recovery_error
 
-from oracles import _stream, dense_adam_recovery, jacobi_singular_values
+from oracles import (
+    _stream,
+    dense_adam_recovery,
+    jacobi_singular_values,
+    reference_train,
+)
 
 
 class TestGenTask:
@@ -218,6 +229,106 @@ class TestTrain:
         layer = init(task.W, plan, 2, seed=1)
         with pytest.raises(ValueError):
             train(layer, task, OptimizerConfig(steps=1))
+
+
+def fresh_layer(kind, task, plan, seed):
+    if kind == "lsr":
+        return init(task.W, plan, 2, alpha=1.0, seed=seed)
+    return lora_init(task.W, r=4, alpha=1.0, seed=seed)
+
+
+class TestFusedStep:
+    """``train`` forms the factors once per parameter state and updates
+    one flat buffer in one fused step; its results equal, bit for bit,
+    those of a reference loop over the public forward and backward with
+    per-array updates (``oracles.reference_train``)."""
+
+    @pytest.mark.parametrize("steps", [30, 250])
+    @pytest.mark.parametrize("opt", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind", ["lsr", "lora"])
+    def test_matches_reference_loop(self, kind, opt, steps):
+        plan, task = small_task(seed=19, n=40)
+        cfg = OptimizerConfig(kind=opt, momentum=0.9 if opt == "sgd" else 0.0,
+                              learning_rate=1e-2 if opt == "adam" else 1e-3,
+                              steps=steps, batch_size=12, seed=19)
+        layer = fresh_layer(kind, task, plan, 19)
+        ref = fresh_layer(kind, task, plan, 19)
+        report = train(layer, task, cfg)
+        curve = reference_train(ref, task, cfg)
+        # steps 30 logs every step, steps 250 every second step
+        assert len(curve) == 1 + min(steps, 125)
+        assert report.loss_curve == curve
+        assert report.recovery_error == recovery_error(ref, task)
+        assert np.array_equal(layer.flat, ref.flat)
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("kind", ["lsr", "lora"])
+    def test_params_are_views_of_one_buffer(self, kind):
+        plan, task = small_task()
+        layer = fresh_layer(kind, task, plan, 3)
+        params = layer.params
+        assert layer.flat.ndim == 1 and layer.flat.flags.c_contiguous
+        assert layer.flat.size == layer.n_params
+        start = 0
+        for name, p in params.items():
+            assert p is getattr(layer, name), name
+            assert np.shares_memory(p, layer.flat), name
+            assert np.array_equal(p.reshape(-1),
+                                  layer.flat[start:start + p.size]), name
+            start += p.size
+        train(layer, task, OptimizerConfig(steps=3, batch_size=8))
+        for name, p in layer.params.items():
+            assert p is params[name], name
+            assert np.shares_memory(p, layer.flat), name
+
+    @pytest.mark.parametrize("kind", ["lsr", "lora"])
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda layer:
+                                       pickle.loads(pickle.dumps(layer))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_their_views_bound(self, kind, clone):
+        plan, task = small_task()
+        layer = fresh_layer(kind, task, plan, 3)
+        twin = clone(layer)
+        assert not np.shares_memory(twin.flat, layer.flat)
+        for name, p in twin.params.items():
+            assert p is getattr(twin, name), name
+            assert np.shares_memory(p, twin.flat), name
+        cfg = OptimizerConfig(steps=20, batch_size=8)
+        want = train(layer, task, cfg).loss_curve
+        assert train(twin, task, cfg).loss_curve == want
+        assert np.array_equal(twin.flat, layer.flat)
+
+    def test_constructor_copies_its_arrays(self):
+        g = np.random.default_rng(20)
+        plan = plan_shapes(12, 12, 4)
+        W = g.normal(size=(12, 12))
+        stacks = [g.normal(size=(2, plan.a1, plan.r1)),
+                  g.normal(size=(2, plan.a2, plan.r2)),
+                  g.normal(size=(2, plan.r1, plan.b1)),
+                  g.normal(size=(2, plan.r2, plan.b2))]
+        A, B = g.normal(size=(12, 4)), g.normal(size=(4, 12))
+        layers = [LsrAdaptLayer(W, 0.5, plan, 2, *stacks),
+                  LoraLayer(W, 0.5, A, B)]
+        before = [layer.flat.copy() for layer in layers]
+        for arr in (*stacks, A, B):
+            arr[...] = 7.0
+        for layer, flat in zip(layers, before):
+            assert np.array_equal(layer.flat, flat)
+
+    @pytest.mark.parametrize("name", ["inputs", "targets"])
+    def test_non_finite_task_refused_before_step_0(self, name, monkeypatch):
+        plan, task = small_task()
+        getattr(task, name)[3, 2] = np.nan
+        layer = init(task.W, plan, 2, alpha=1.0, seed=1)
+        before = layer.flat.copy()
+        losses = []
+        monkeypatch.setattr(train_harness, "_dataset_loss",
+                            lambda *args: losses.append(args))
+        with pytest.raises(ValueError, match=f"task.{name}"):
+            train(layer, task, OptimizerConfig(steps=5, batch_size=8))
+        assert losses == []
+        assert np.array_equal(layer.flat, before)
 
 
 class TestCompare:
