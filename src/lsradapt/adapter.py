@@ -40,14 +40,15 @@ the comparison baseline.  It runs through the same dense-factor core,
 and its dA and dB are its gradients as they are.  Both layers share one
 interface, so callers never branch on the type: ``params`` maps names
 (A1, A2, B1, B2 or A, B) to the trainable arrays themselves, which are
-views into one contiguous vector ``flat`` that the constructor fills with
-copies of its arrays, ``n_params`` counts them,
+views into one contiguous vector ``flat``, ``n_params`` is ``flat.size``,
 ``update_factors()`` gives the dense (A, B) before alpha, and
 ``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
 ``grads`` keyed like ``params``.  The public calls form the factors on
 every call; the training loop forms them once per parameter state and
 runs the same unchecked cores, ``_low_rank_forward`` and
-``_low_rank_backward``, on them.
+``_low_rank_backward``, on them.  Both constructors run one checked
+step, ``_FlatParams._store``: it checks W, alpha and every trainable
+array and fills ``flat`` with copies of the arrays.
 """
 
 import math
@@ -110,12 +111,30 @@ def plan_shapes(w1: int, w2: int, r: int) -> ShapePlan:
 
 class _FlatParams:
     """Trainable arrays held as named views into one contiguous float64
-    vector, ``flat``, in the order of ``params``."""
+    vector, ``flat``, in the order of ``params``, behind the one checked
+    constructor step, ``_store``, that both layers run."""
 
-    def _store(self, arrays: dict[str, np.ndarray]) -> None:
-        # copy the checked arrays into a new flat vector
-        self.flat = np.concatenate([a.reshape(-1) for a in arrays.values()])
-        self._shapes = {name: a.shape for name, a in arrays.items()}
+    def _store(self, names: tuple[str, ...], ndim: int) -> None:
+        """Check W (``as_matrix``), alpha (finite) and each trainable
+        array in ``names`` (``kron_core._checked`` at rank ``ndim``, no
+        zero dimension, then the shape ``_expected_shapes()`` derives
+        from the checked arrays), and copy the arrays, in that order,
+        into a new ``flat``."""
+        self.W = as_matrix(self.W, "W")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        for name in names:
+            a = _checked(getattr(self, name), name, ndim)
+            if not a.size:
+                raise ValueError(f"{name} is {a.shape}, with a zero dimension")
+            setattr(self, name, a)
+        for name, shape in self._expected_shapes().items():
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} is {got}, expected {shape}")
+        self.flat = np.concatenate([getattr(self, n).reshape(-1)
+                                    for n in names])
+        self._shapes = {name: getattr(self, name).shape for name in names}
         self._bind()
 
     def _bind(self) -> None:
@@ -148,6 +167,10 @@ class _FlatParams:
         """Name -> trainable array, each a view into ``flat``."""
         return dict(self._params)
 
+    @property
+    def n_params(self) -> int:
+        return self.flat.size
+
 
 @dataclass(eq=False)
 class LsrAdaptLayer(_FlatParams):
@@ -156,9 +179,9 @@ class LsrAdaptLayer(_FlatParams):
     Factor families are stacked along the leading axis: A1[k] is the k-th
     a1 x r1 factor, etc.  The factor arrays are the trainable state, held
     as views into ``flat`` (A1|A2|B1|B2); W is never updated.
-    Construction checks every array (``kron_core._checked``: float64, the
-    right shape, finite entries) and that alpha is finite, so no later
-    call has to, and copies the factor arrays into ``flat``.
+    Construction (``_store``) checks every array (float64, the right
+    shape, finite entries) and that alpha is finite, so no later call has
+    to, and copies the factor arrays into ``flat``.
     """
 
     W: Matrix
@@ -171,27 +194,15 @@ class LsrAdaptLayer(_FlatParams):
     B2: np.ndarray  # (s, r2, b2)
 
     def __post_init__(self):
-        p = self.plan
-        self.W = as_matrix(self.W, "W")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.W.shape != (p.w1, p.w2):
-            raise ValueError(f"W is {self.W.shape}, plan wants ({p.w1}, {p.w2})")
         if self.s < 1:
             raise ValueError("separation rank s must be >= 1")
-        expected = {"A1": (self.s, p.a1, p.r1), "A2": (self.s, p.a2, p.r2),
-                    "B1": (self.s, p.r1, p.b1), "B2": (self.s, p.r2, p.b2)}
-        arrays = {}
-        for name, shape in expected.items():
-            arrays[name] = _checked(getattr(self, name), name, 3)
-            if arrays[name].shape != shape:
-                raise ValueError(
-                    f"{name} is {arrays[name].shape}, expected {shape}")
-        self._store(arrays)
+        self._store(("A1", "A2", "B1", "B2"), 3)
 
-    @property
-    def n_params(self) -> int:
-        return count_params_lsr(self.plan, self.s)
+    def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
+        p, s = self.plan, self.s
+        return {"W": (p.w1, p.w2),
+                "A1": (s, p.a1, p.r1), "A2": (s, p.a2, p.r2),
+                "B1": (s, p.r1, p.b1), "B2": (s, p.r2, p.b2)}
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
         """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
@@ -226,25 +237,12 @@ class LoraLayer(_FlatParams):
     B: Matrix  # r x w2
 
     def __post_init__(self):
-        self.W = as_matrix(self.W, "W")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        w1, w2 = self.W.shape
-        if A.shape[0] != w1 or B.shape[1] != w2 or A.shape[1] != B.shape[0]:
-            raise ValueError(
-                f"inconsistent shapes: W {self.W.shape}, A {A.shape}, "
-                f"B {B.shape}")
-        self._store({"A": A, "B": B})
+        self._store(("A", "B"), 2)
 
-    @property
-    def r(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return count_params_lora(*self.W.shape, self.r)
+    def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
+        # the rank is A's width, read once A has passed its check
+        (w1, w2), r = self.W.shape, self.A.shape[1]
+        return {"A": (w1, r), "B": (r, w2)}
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
         return self.A, self.B
@@ -381,6 +379,8 @@ def _low_rank_backward(layer, X: np.ndarray, G: np.ndarray, A: Matrix,
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
     """Trainable scalars in the factored adapter."""
+    if s < 1:
+        raise ValueError(f"separation rank s must be >= 1, got {s}")
     return s * (plan.a1 * plan.r1 + plan.a2 * plan.r2) \
         + s * (plan.r1 * plan.b1 + plan.r2 * plan.b2)
 

@@ -271,6 +271,9 @@ def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
         U, sigma, V = _block_svd(tall, k) or _tall_svd(tall, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    if not np.isfinite(sigma).all():
+        raise NumericalError(f"singular values of the {rows}x{cols} input "
+                             "overflow float64")
     return (U, sigma, V) if rows >= cols else (V, sigma, U)
 
 
@@ -312,26 +315,31 @@ def _block_svd(M, k):
     l = k + _OVERSAMPLE
     if l >= M.shape[1]:
         return None
-    Y = M @ rng_stream(0, "truncated-svd").standard_normal((M.shape[1], l))
-    for _ in range(_POWER_STEPS):
-        Y = M @ np.linalg.qr(M.T @ np.linalg.qr(Y)[0])[0]
-    Q = np.linalg.qr(Y)[0]
-    B = Q.T @ M
-    Ub, sigma, Vt = np.linalg.svd(B, full_matrices=False)
-    U, V = Q @ Ub, Vt.T
-    MV = M @ V
-    residual = MV - U * sigma
-    margin = _CERTIFY_EPS * np.finfo(np.float64).eps
-    tol = margin * sigma[0]
-    fro_sq = float(np.linalg.norm(M)) ** 2
-    eta = math.sqrt(max(fro_sq - float(np.linalg.norm(B)) ** 2, 0.0)
-                    + margin * fro_sq)
-    mu = float(np.linalg.norm(MV[:, k:], 2))
-    gamma = float(np.linalg.norm(residual[:, k:], 2))
-    if (np.max(np.linalg.norm(residual[:, :k], axis=0)) > tol
-            or max(mu, eta) ** 2 + gamma * eta >= (sigma[k - 1] + tol) ** 2):
-        return None
-    return U[:, :k], sigma[:k], V[:, :k]
+    # under errstate, numpy scalars throughout: an overflow gives inf or
+    # nan, never a warning or an OverflowError, and fails the certificate
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = M @ rng_stream(0, "truncated-svd").standard_normal((M.shape[1], l))
+        for _ in range(_POWER_STEPS):
+            Y = M @ np.linalg.qr(M.T @ np.linalg.qr(Y)[0])[0]
+        Q = np.linalg.qr(Y)[0]
+        B = Q.T @ M
+        if not np.isfinite(B).all():
+            return None
+        Ub, sigma, Vt = np.linalg.svd(B, full_matrices=False)
+        U, V = Q @ Ub, Vt.T
+        MV = M @ V
+        residual = MV - U * sigma
+        margin = _CERTIFY_EPS * np.finfo(np.float64).eps
+        tol = margin * sigma[0]
+        fro_sq = np.linalg.norm(M) ** 2
+        eta = np.sqrt(max(fro_sq - np.linalg.norm(B) ** 2, 0.0)
+                      + margin * fro_sq)
+        mu = np.linalg.norm(MV[:, k:], 2)
+        gamma = np.linalg.norm(residual[:, k:], 2)
+        certified = (np.max(np.linalg.norm(residual[:, :k], axis=0)) <= tol
+                     and max(mu, eta) ** 2 + gamma * eta
+                     < (sigma[k - 1] + tol) ** 2)
+    return (U[:, :k], sigma[:k], V[:, :k]) if certified else None
 
 
 def _tall_svd(M, k):
@@ -363,7 +371,7 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     if not 1 <= s <= min(R.shape):
         raise ValueError(f"s={s} out of range for rearranged {R.shape}")
     U, sigma, V = truncated_svd(R, s)
-    cutoff = sigma[0] * max(R.shape) * np.finfo(np.float64).eps
+    cutoff = sigma[0] * (max(R.shape) * np.finfo(np.float64).eps)
     kept = int(np.count_nonzero(sigma > cutoff))
     # column t of U is vec(P_t): P_t^T flattened row-major (V likewise)
     lr, lc, rr, rc = map(int, (*left, *right))

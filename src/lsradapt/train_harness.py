@@ -16,6 +16,13 @@ Plants:
   mismatched control),
 * ``LsrProductPlant(...)``-- product of two Kronecker sums, the exact
   structure a factored adapter materializes; the matched-recovery case.
+
+Each plant draws its own update: ``plant.delta(w1, w2, rng)`` checks the
+plant's parameters against the task shape, then makes its draws from the
+task's ``"task-plant"`` stream, so ``gen_task`` never branches on the
+plant type.  Both adapter layers come out of one checked constructor
+step (``adapter._FlatParams._store``), so ``train`` runs either one
+through the same loop.
 """
 
 import math
@@ -43,12 +50,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DensePlant:
-    pass
+    def delta(self, w1: int, w2: int, rng) -> Matrix:
+        return rng.normal(size=(w1, w2))
 
 
 @dataclass(frozen=True)
 class LowRankPlant:
     r: int
+
+    def delta(self, w1: int, w2: int, rng) -> Matrix:
+        if not 1 <= self.r <= min(w1, w2):
+            raise ValueError(f"plant rank {self.r} out of range")
+        return rng.normal(size=(w1, self.r)) @ rng.normal(size=(self.r, w2))
 
 
 @dataclass(frozen=True)
@@ -57,11 +70,27 @@ class KronSumPlant:
     left: Shape
     right: Shape
 
+    def delta(self, w1: int, w2: int, rng) -> Matrix:
+        (lr, lc), (rr, rc) = self.left, self.right
+        if lr * rr != w1 or lc * rc != w2:
+            raise ValueError(
+                f"plant shapes {lr}x{lc} (x) {rr}x{rc} do not give {w1}x{w2}")
+        return _dense_kron_sum(*_draw_stacks(rng, self.s,
+                                             [self.left, self.right]))
+
 
 @dataclass(frozen=True)
 class LsrProductPlant:
     s: int
     plan: ShapePlan
+
+    def delta(self, w1: int, w2: int, rng) -> Matrix:
+        p = self.plan
+        if p.w1 != w1 or p.w2 != w2:
+            raise ValueError(f"plan is {p.w1}x{p.w2}, task wants {w1}x{w2}")
+        A1, A2, B1, B2 = _draw_stacks(rng, self.s, [
+            (p.a1, p.r1), (p.a2, p.r2), (p.r1, p.b1), (p.r2, p.b2)])
+        return _dense_kron_sum(A1, A2) @ _dense_kron_sum(B1, B2)
 
 
 @dataclass(eq=False)
@@ -99,8 +128,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 < self.eps_hat < math.inf:
+            raise ValueError("eps_hat must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -127,6 +158,8 @@ class CompareReport:
 
 def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
     """(s, *shape) stacks, filled term by term with one draw per shape."""
+    if s < 1:
+        raise ValueError(f"plant terms {s} out of range")
     stacks = [np.empty((s, *shape)) for shape in shapes]
     for k in range(s):
         for stack in stacks:
@@ -134,41 +167,15 @@ def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
     return stacks
 
 
-def _plant_delta(plant, w1: int, w2: int, rng) -> Matrix:
-    if isinstance(plant, (KronSumPlant, LsrProductPlant)) and plant.s < 1:
-        raise ValueError(f"plant terms {plant.s} out of range")
-    if isinstance(plant, DensePlant):
-        return rng.normal(size=(w1, w2))
-    if isinstance(plant, LowRankPlant):
-        if not 1 <= plant.r <= min(w1, w2):
-            raise ValueError(f"plant rank {plant.r} out of range")
-        return rng.normal(size=(w1, plant.r)) @ rng.normal(size=(plant.r, w2))
-    if isinstance(plant, KronSumPlant):
-        lr, lc = plant.left
-        rr, rc = plant.right
-        if lr * rr != w1 or lc * rc != w2:
-            raise ValueError(
-                f"plant shapes {lr}x{lc} (x) {rr}x{rc} do not give {w1}x{w2}")
-        return _dense_kron_sum(*_draw_stacks(rng, plant.s,
-                                             [plant.left, plant.right]))
-    if isinstance(plant, LsrProductPlant):
-        p = plant.plan
-        if p.w1 != w1 or p.w2 != w2:
-            raise ValueError(f"plan is {p.w1}x{p.w2}, task wants {w1}x{w2}")
-        A1, A2, B1, B2 = _draw_stacks(rng, plant.s, [
-            (p.a1, p.r1), (p.a2, p.r2), (p.r1, p.b1), (p.r2, p.b2)])
-        return _dense_kron_sum(A1, A2) @ _dense_kron_sum(B1, B2)
-    raise ValueError(f"unknown plant {plant!r}")
-
-
 def gen_task(w1: int, w2: int, plant, n_samples: int, noise_std: float,
              seed: int) -> SyntheticTask:
-    """Seeded task: Gaussian W, planted update scaled to unit Frobenius
-    norm, Gaussian inputs, targets (W + delta_star) x plus noise."""
+    """Seeded task: Gaussian W, the plant's update (``plant.delta``)
+    scaled to unit Frobenius norm, Gaussian inputs, targets
+    (W + delta_star) x plus noise."""
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
     W = rng_stream(seed, "task-base").normal(size=(w1, w2))
-    delta = _plant_delta(plant, w1, w2, rng_stream(seed, "task-plant"))
+    delta = plant.delta(w1, w2, rng_stream(seed, "task-plant"))
     norm = np.linalg.norm(delta)
     if norm > 0:
         delta = delta / norm

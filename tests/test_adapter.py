@@ -136,6 +136,42 @@ class TestArrayChecks:
         with pytest.raises(ValueError, match="alpha must be finite"):
             lora_init(W, 2, alpha=bad)
 
+    @pytest.mark.parametrize("change", [
+        dict(W=np.full((12, 8), np.nan)),
+        dict(W=np.ones(8)),
+        dict(W=np.ones((8, 8))),            # W against the plan
+        dict(alpha=np.inf),
+        dict(alpha=np.nan),
+        dict(s=0),
+        dict(A1=np.ones((2, 3, 3))),        # wrong stack shape
+        dict(B2=np.ones((2, 2))),           # wrong stack rank
+        dict(A2=3.0),
+    ], ids=["W-nan", "W-1d", "W-plan", "alpha-inf", "alpha-nan", "s-0",
+            "stack-shape", "stack-rank", "stack-0d"])
+    def test_lsr_construction_refusals_are_value_errors(self, change):
+        g = np.random.default_rng(97)
+        layer = random_layer(g, 12, 8, 4, 2)
+        args = dict(W=layer.W, alpha=1.0, plan=layer.plan, s=2,
+                    **{k: v.copy() for k, v in layer.params.items()})
+        with pytest.raises(ValueError):
+            LsrAdaptLayer(**dict(args, **change))
+
+    @pytest.mark.parametrize("W, A, B", [
+        (np.ones((12, 8)), np.ones((12, 2)), np.ones((3, 8))),   # rank
+        (np.ones((12, 8)), np.ones((10, 2)), np.ones((2, 8))),   # rows
+        (np.ones((12, 8)), np.ones((12, 2)), np.ones((2, 7))),   # cols
+        (np.ones(8), np.ones((12, 2)), np.ones((2, 8))),         # 1-D W
+        (np.ones((12, 8)), 3.0, np.ones((2, 8))),                # 0-d A
+        (np.ones((12, 8)), np.ones(12), np.ones((2, 8))),        # 1-D A
+        (np.ones((12, 8)), np.ones((12, 0)), np.ones((0, 8))),   # zero width
+        (np.ones((12, 8)), np.ones((12, 2)), np.ones((2, 0))),   # empty B
+        (np.ones((12, 8)), np.full((12, 2), np.inf), np.ones((2, 8))),
+    ], ids=["rank", "rows", "cols", "W-1d", "A-0d", "A-1d", "zero-width",
+            "B-empty", "A-inf"])
+    def test_lora_construction_refusals_are_value_errors(self, W, A, B):
+        with pytest.raises(ValueError):
+            LoraLayer(W=W, alpha=1.0, A=A, B=B)
+
     def test_batch_errors_name_argument_and_width(self):
         g = np.random.default_rng(96)
         layer = random_layer(g, 12, 8, 4, 2)
@@ -269,6 +305,22 @@ class TestParamCounts:
     def test_lsr_beats_lora_budget(self):
         assert count_params_lsr(plan_shapes(768, 768, 4), 16) \
             < count_params_lora(768, 768, 8)
+
+    @pytest.mark.parametrize("w1, w2, r, s", [
+        (12, 8, 4, 2), (48, 48, 4, 4), (30, 21, 6, 3)])
+    def test_layer_n_params_is_flat_size(self, w1, w2, r, s):
+        W = np.zeros((w1, w2))
+        plan = plan_shapes(w1, w2, r)
+        lsr = init(W, plan, s, seed=1)
+        lora = lora_init(W, r, seed=1)
+        assert lsr.n_params == lsr.flat.size == count_params_lsr(plan, s)
+        assert lora.n_params == lora.flat.size \
+            == count_params_lora(w1, w2, r)
+
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_lsr_count_refuses_separation_rank_below_one(self, s):
+        with pytest.raises(ValueError, match="separation rank"):
+            count_params_lsr(plan_shapes(8, 8, 2), s)
 
 
 class TestLora:

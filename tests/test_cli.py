@@ -159,6 +159,19 @@ class TestApprox:
         assert "overflows" in out
         assert not (tmp_path / "dec").exists()
 
+    def test_overflowing_singular_value_is_numerical_error(self, tmp_path,
+                                                           capsys):
+        # the rearranged 1x4 matrix has norm 2e308: its singular value
+        # overflows, and no RuntimeWarning may escape
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.array([[1e308, -1e308], [-1e308, 1e308]]))
+        code, out = run(capsys, "approx", str(src), "--left", "1x1",
+                        "--right", "2x2", "--terms", "1",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 4
+        assert "overflow float64" in out
+        assert not (tmp_path / "dec").exists()
+
     def test_input_over_memory_cap_is_numerical_error(self, tmp_path, capsys,
                                                        monkeypatch):
         src = tmp_path / "m.txt"
@@ -205,6 +218,14 @@ class TestParams:
                         "--r", "4", "--s", "16")
         assert code == 0
         assert int(grab(out, "lsr params")) == 3584
+
+    @pytest.mark.parametrize("s", ["0", "-3"])
+    def test_separation_rank_below_one_is_usage_error(self, capsys, s):
+        code, out = run(capsys, "params", "--w1", "8", "--w2", "8",
+                        "--r", "2", "--s", s)
+        assert code == 2
+        assert "separation rank" in out
+        assert "lsr params" not in out
 
 
 class TestTrain:
@@ -265,6 +286,18 @@ class TestTrain:
             for key, value in fields.items():
                 if key != "adapter":
                     float(value)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--eps-hat", "nan", "eps_hat"), ("--eps-hat", "0", "eps_hat"),
+        ("--eps-hat", "-1", "eps_hat"), ("--lr", "inf", "learning_rate")])
+    def test_invalid_optimizer_value_is_usage_error(self, tmp_path, capsys,
+                                                    flag, value, field):
+        code, out = run(capsys, "train", "--w1", "8", "--w2", "8", "--r",
+                        "2", "--s", "2", "--steps", "3", flag, value,
+                        "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert field in out
+        assert not list(tmp_path.iterdir())
 
     def test_bad_plant_flags(self, tmp_path, capsys):
         code, _ = run(capsys, "train", "--plant", "kron-sum",

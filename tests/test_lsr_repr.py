@@ -556,6 +556,25 @@ class TestTruncatedSvd:
         M = planted_spectrum(60, 40, sigma, seed=43)
         assert_truncated_svd_contract(M, 8, jacobi_singular_values(M))
 
+    def test_overflowing_singular_value_is_numerical_error(self):
+        # ||M||_F = 2e308: the exact path's singular value is not finite
+        M = np.array([[1e308, -1e308, -1e308, 1e308]])
+        with pytest.raises(NumericalError, match="overflow float64"):
+            truncated_svd(M, 1)
+        with pytest.raises(NumericalError, match="overflow float64"):
+            nearest_kron_sum(M.reshape(2, 2), Shape(1, 1), Shape(2, 2), 1)
+
+    def test_overflowing_certificate_takes_exact_path(self, exact_svd_calls):
+        # the block iteration certifies this gapped input; at 1e200 times
+        # it, ||M||_F^2 overflows, so the certificate fails without a
+        # RuntimeWarning and the exact path gives the same singular values
+        M = planted_spectrum(60, 40, GAPPED[:40], seed=44)
+        _, want, _ = truncated_svd(M, 8)
+        assert exact_svd_calls == []
+        _, sigma, _ = truncated_svd(1e200 * M, 8)
+        assert exact_svd_calls == [(60, 40)]
+        assert np.max(np.abs(sigma / 1e200 - want)) <= 1e-12 * want[0]
+
     def test_bit_identical_on_repeat(self):
         for M in (planted_spectrum(60, 40, GAPPED[:40], seed=44),
                   np.random.default_rng(45).normal(size=(60, 40))):
@@ -605,6 +624,16 @@ class TestNearestKronSum:
                 nearest_kron_sum(M, Shape(*left), Shape(*right), s)))
             tail = np.sqrt(np.sum(sigma[s:] ** 2))
             assert abs(err - tail) <= 1e-10 * tail
+
+    def test_near_overflow_scale_keeps_its_terms(self):
+        # sigma_1 ~ 1e307: neither the SVD certificate nor the drop
+        # cutoff may overflow (no RuntimeWarning), and the weights are
+        # the unscaled ones scaled up
+        M = np.random.default_rng(47).normal(size=(64, 64))
+        want = nearest_kron_sum(M, Shape(8, 8), Shape(8, 8), 2).weights
+        S = nearest_kron_sum(1e306 * M, Shape(8, 8), Shape(8, 8), 2)
+        assert S.separation_rank == 2
+        assert np.max(np.abs(S.weights / 1e306 - want)) <= 1e-12 * want[0]
 
     def test_monotone_in_s(self):
         g = np.random.default_rng(39)

@@ -107,6 +107,27 @@ class TestGenTask:
             task = gen_task(12, 10, plant, 0, 0.0, seed=21)
             err = np.linalg.norm(task.delta_star - want) / np.linalg.norm(want)
             assert err <= 1e-12, plant
+        # DensePlant: one (12, 10) draw; LowRankPlant(3): (12, 3) then
+        # (3, 10), multiplied; both match their draws bit for bit
+        g = _stream(21, "task-plant")
+        dense = g.normal(size=(12, 10))
+        g = _stream(21, "task-plant")
+        low_rank = g.normal(size=(12, 3)) @ g.normal(size=(3, 10))
+        for plant, want in ((DensePlant(), dense),
+                            (LowRankPlant(3), low_rank)):
+            task = gen_task(12, 10, plant, 0, 0.0, seed=21)
+            assert np.array_equal(task.delta_star,
+                                  want / np.linalg.norm(want)), plant
+
+    @pytest.mark.parametrize("plant", [
+        LowRankPlant(0), LowRankPlant(11),
+        KronSumPlant(0, Shape(4, 5), Shape(3, 2)),
+        LsrProductPlant(0, plan_shapes(12, 10, 4)),
+        LsrProductPlant(2, plan_shapes(12, 12, 4)),
+    ], ids=["rank-0", "rank-11", "kron-terms-0", "lsr-terms-0", "lsr-plan"])
+    def test_plant_checks_its_parameters(self, plant):
+        with pytest.raises(ValueError):
+            gen_task(12, 10, plant, 4, 0.0, seed=0)
 
     def test_nonconforming_plant(self):
         with pytest.raises(ValueError):
@@ -222,6 +243,18 @@ class TestTrain:
             got = recovery_error(lay, task)
             assert isinstance(got, float)
             assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("change", [
+        dict(kind="lbfgs"), dict(learning_rate=0.0), dict(momentum=1.0),
+        dict(beta1=1.0), dict(beta2=0.0), dict(steps=-1),
+        dict(batch_size=0),
+        dict(learning_rate=np.inf), dict(learning_rate=np.nan),
+        dict(eps_hat=0.0), dict(eps_hat=-1.0), dict(eps_hat=np.nan),
+        dict(eps_hat=np.inf),
+    ], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+    def test_invalid_config_refused(self, change):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**change)
 
     def test_empty_task_rejected(self):
         plan, _ = small_task()
