@@ -65,7 +65,8 @@ DEFAULT_ALPHA = 32.0
 
 @dataclass(frozen=True)
 class ShapePlan:
-    """Resolved dimension factorizations for one adapter layer."""
+    """Resolved dimension factorizations for one adapter layer, and the
+    one definition of its factor layout (``stack_shapes``)."""
 
     w1: int
     w2: int
@@ -87,6 +88,13 @@ class ShapePlan:
             raise ValueError(f"r1*r2 = {self.r1 * self.r2} != r = {self.r}")
         if self.b1 * self.b2 != self.w2:
             raise ValueError(f"b1*b2 = {self.b1 * self.b2} != w2 = {self.w2}")
+
+    def stack_shapes(self, s: int) -> dict[str, tuple[int, int, int]]:
+        """Shape (s, rows, cols) of each factor stack, in ``flat`` order,
+        such that A_sum = sum_k A1[k] (x) A2[k] is w1 x r and
+        B_sum = sum_k B1[k] (x) B2[k] is r x w2."""
+        return {"A1": (s, self.a1, self.r1), "A2": (s, self.a2, self.r2),
+                "B1": (s, self.r1, self.b1), "B2": (s, self.r2, self.b2)}
 
 
 def _balanced_split(n: int) -> tuple[int, int]:
@@ -196,13 +204,11 @@ class LsrAdaptLayer(_FlatParams):
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("separation rank s must be >= 1")
-        self._store(("A1", "A2", "B1", "B2"), 3)
+        self._store(tuple(self.plan.stack_shapes(self.s)), 3)
 
     def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
-        p, s = self.plan, self.s
-        return {"W": (p.w1, p.w2),
-                "A1": (s, p.a1, p.r1), "A2": (s, p.a2, p.r2),
-                "B1": (s, p.r1, p.b1), "B2": (s, p.r2, p.b2)}
+        p = self.plan
+        return {"W": (p.w1, p.w2), **p.stack_shapes(self.s)}
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
         """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
@@ -272,12 +278,13 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
     g = rng_stream(seed, "adapter-init")
     a_std = np.sqrt(1.0 / plan.w2)
     b1_std = np.sqrt(1.0 / plan.r)
+    shapes = plan.stack_shapes(s)
     return LsrAdaptLayer(
         W=W, alpha=float(alpha), plan=plan, s=int(s),
-        A1=g.normal(0.0, a_std, size=(s, plan.a1, plan.r1)),
-        A2=g.normal(0.0, a_std, size=(s, plan.a2, plan.r2)),
-        B1=g.normal(0.0, b1_std, size=(s, plan.r1, plan.b1)),
-        B2=np.zeros((s, plan.r2, plan.b2)),
+        A1=g.normal(0.0, a_std, size=shapes["A1"]),
+        A2=g.normal(0.0, a_std, size=shapes["A2"]),
+        B1=g.normal(0.0, b1_std, size=shapes["B1"]),
+        B2=np.zeros(shapes["B2"]),
     )
 
 
@@ -381,8 +388,7 @@ def count_params_lsr(plan: ShapePlan, s: int) -> int:
     """Trainable scalars in the factored adapter."""
     if s < 1:
         raise ValueError(f"separation rank s must be >= 1, got {s}")
-    return s * (plan.a1 * plan.r1 + plan.a2 * plan.r2) \
-        + s * (plan.r1 * plan.b1 + plan.r2 * plan.b2)
+    return sum(map(math.prod, plan.stack_shapes(s).values()))
 
 
 def count_params_lora(w1: int, w2: int, r: int) -> int:

@@ -32,10 +32,14 @@ EXIT_DIVERGED = 5
 def _parse_shape(text: str) -> Shape:
     try:
         rows, cols = text.lower().split("x")
-        return Shape(int(rows), int(cols))
+        shape = Shape(int(rows), int(cols))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected ROWSxCOLS, got {text!r}") from exc
+    if min(shape) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected positive ROWSxCOLS, got {text!r}")
+    return shape
 
 
 # ---------------------------------------------------------------- approx

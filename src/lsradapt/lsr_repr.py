@@ -243,6 +243,9 @@ def rearrange(M, left: Shape, right: Shape) -> Matrix:
     M = as_matrix(M, "M")
     lr, lc = int(left[0]), int(left[1])
     rr, rc = int(right[0]), int(right[1])
+    if min(lr, lc, rr, rc) < 1:
+        raise ValueError(f"factor shapes must have positive sizes: "
+                         f"left {lr}x{lc}, right {rr}x{rc}")
     if lr * rr != M.shape[0] or lc * rc != M.shape[1]:
         raise ValueError(
             f"shapes do not factor {M.shape[0]}x{M.shape[1]}: "
@@ -268,12 +271,13 @@ def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
         raise ValueError(f"k={k} out of range for {rows}x{cols}")
     tall = M if rows >= cols else M.T
     try:
-        U, sigma, V = _block_svd(tall, k) or _tall_svd(tall, k)
+        svd = _block_svd(tall, k) or _tall_svd(tall, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    if not np.isfinite(sigma).all():
+    if svd is None or not all(np.isfinite(a).all() for a in svd):
         raise NumericalError(f"singular values of the {rows}x{cols} input "
                              "overflow float64")
+    U, sigma, V = svd
     return (U, sigma, V) if rows >= cols else (V, sigma, U)
 
 
@@ -348,12 +352,20 @@ def _tall_svd(M, k):
     and right vectors, so its full SVD gives the k leading right vectors
     Vk without Q.  One Rayleigh-Ritz step on the span of M @ Vk then
     yields U (orthonormal from the QR, even for zero singular values),
-    sigma and the matching rotation of Vk."""
-    _, _, Wt = np.linalg.svd(np.linalg.qr(M, mode="r"))
-    Vk = Wt[:k].T
-    Qy, Ry = np.linalg.qr(M @ Vk)
-    Ur, sigma, Zt = np.linalg.svd(Ry)
-    return Qy @ Ur, sigma, Vk @ Zt.T
+    sigma and the matching rotation of Vk.  Under the errstate of
+    ``_block_svd`` an overflow gives inf or nan, never a warning; a
+    triangle that is not finite means M's singular values overflow
+    float64, and the result is None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.linalg.qr(M, mode="r")
+        if not np.isfinite(R).all():
+            return None
+        Vk = np.linalg.svd(R)[2][:k].T
+        Qy, Ry = np.linalg.qr(M @ Vk)
+        if not np.isfinite(Ry).all():
+            return None
+        Ur, sigma, Zt = np.linalg.svd(Ry)
+        return Qy @ Ur, sigma, Vk @ Zt.T
 
 
 def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:

@@ -72,11 +72,14 @@ class KronSumPlant:
 
     def delta(self, w1: int, w2: int, rng) -> Matrix:
         (lr, lc), (rr, rc) = self.left, self.right
+        if min(lr, lc, rr, rc) < 1:
+            raise ValueError(f"plant shapes {lr}x{lc} (x) {rr}x{rc} must "
+                             "have positive sizes")
         if lr * rr != w1 or lc * rc != w2:
             raise ValueError(
                 f"plant shapes {lr}x{lc} (x) {rr}x{rc} do not give {w1}x{w2}")
-        return _dense_kron_sum(*_draw_stacks(rng, self.s,
-                                             [self.left, self.right]))
+        return _dense_kron_sum(*_draw_stacks(
+            rng, [(self.s, lr, lc), (self.s, rr, rc)]))
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,7 @@ class LsrProductPlant:
         p = self.plan
         if p.w1 != w1 or p.w2 != w2:
             raise ValueError(f"plan is {p.w1}x{p.w2}, task wants {w1}x{w2}")
-        A1, A2, B1, B2 = _draw_stacks(rng, self.s, [
-            (p.a1, p.r1), (p.a2, p.r2), (p.r1, p.b1), (p.r2, p.b2)])
+        A1, A2, B1, B2 = _draw_stacks(rng, p.stack_shapes(self.s).values())
         return _dense_kron_sum(A1, A2) @ _dense_kron_sum(B1, B2)
 
 
@@ -156,11 +158,14 @@ class CompareReport:
     param_ratio: float
 
 
-def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
-    """(s, *shape) stacks, filled term by term with one draw per shape."""
+def _draw_stacks(rng, shapes) -> list[np.ndarray]:
+    """Stacks of the given (s, rows, cols) shapes, all with the same s,
+    filled term by term with one draw per stack."""
+    shapes = list(shapes)
+    s = shapes[0][0]
     if s < 1:
         raise ValueError(f"plant terms {s} out of range")
-    stacks = [np.empty((s, *shape)) for shape in shapes]
+    stacks = [np.empty(shape) for shape in shapes]
     for k in range(s):
         for stack in stacks:
             stack[k] = rng.normal(size=stack.shape[1:])
@@ -249,28 +254,17 @@ class _Optimizer:
             flat -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps_hat)
 
 
-class _BatchSampler:
-    """Sequential wrap-around over a seeded shuffle, reshuffled each epoch."""
-
-    def __init__(self, n: int, batch_size: int, seed: int):
-        self.n = n
-        self.batch_size = batch_size
-        self.rng = rng_stream(seed, "shuffle")
-        self.order = self.rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> np.ndarray:
-        out = []
-        count = 0
-        while count < self.batch_size:
-            if self.pos == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            take = min(self.batch_size - count, self.n - self.pos)
-            out.append(self.order[self.pos:self.pos + take])
-            self.pos += take
-            count += take
-        return np.concatenate(out)
+def _batches(n: int, batch_size: int, seed: int):
+    """Index batches of a sequential wrap-around over a seeded shuffle of
+    range(n): the ``"shuffle"`` stream draws a new permutation each time
+    fewer than ``batch_size`` indices remain."""
+    rng = rng_stream(seed, "shuffle")
+    order = rng.permutation(n)
+    while True:
+        while len(order) < batch_size:
+            order = np.concatenate([order, rng.permutation(n)])
+        yield order[:batch_size]
+        order = order[batch_size:]
 
 
 def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
@@ -281,9 +275,11 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     factors are formed once per parameter state: each step's forward and
     backward share them and U = X B^T, its gradient fills one flat buffer
     laid out like ``layer.flat``, and the optimizer updates ``layer.flat``
-    in one fused step.  The loss curve records the full-dataset value of
-    the same quantity, at step 0 and roughly every steps/100 steps
-    thereafter.
+    in one fused step.  Each step's batch is the next ``batch_size``
+    indices of ``_batches``: a wrap-around over permutations of the
+    samples from the ``config.seed`` ``"shuffle"`` stream, one per epoch.
+    The loss curve records the full-dataset value of the same quantity,
+    at step 0 and roughly every steps/100 steps thereafter.
     """
     w1, w2 = layer.W.shape
     if layer.W.shape != task.W.shape:
@@ -298,14 +294,14 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     grad = np.zeros(layer.flat.size)
     grads = layer._views(grad)
     opt = _Optimizer(config, grad.size)
-    sampler = _BatchSampler(task.n_samples, config.batch_size, config.seed)
+    batches = _batches(task.n_samples, config.batch_size, config.seed)
     log_every = max(1, config.steps // 100)
 
     t0 = time.perf_counter()
     A, B = layer.update_factors()
     loss_curve = [_dataset_loss(layer, inputs, targets, (A, B))]
     for step in range(config.steps):
-        idx = sampler.next()
+        idx = next(batches)
         X = inputs[idx]
         U = adapter._apply_b(B, X)
         resid = adapter._low_rank_forward(layer, X, A, U) - targets[idx]

@@ -103,14 +103,13 @@ def check_matrix_free_apply(trials: int) -> CheckResult:
 
 
 def random_layer(g, w1, w2, r, s, alpha=1.0) -> adapter.LsrAdaptLayer:
-    """Layer with every array Gaussian from g, drawn as W, A1, A2, B1, B2."""
+    """Layer with every array Gaussian from g, drawn as W, then the
+    stacks in ``ShapePlan.stack_shapes`` order (A1, A2, B1, B2)."""
     plan = adapter.plan_shapes(w1, w2, r)
-    return adapter.LsrAdaptLayer(
-        W=g.normal(size=(w1, w2)), alpha=alpha, plan=plan, s=s,
-        A1=g.normal(size=(s, plan.a1, plan.r1)),
-        A2=g.normal(size=(s, plan.a2, plan.r2)),
-        B1=g.normal(size=(s, plan.r1, plan.b1)),
-        B2=g.normal(size=(s, plan.r2, plan.b2)))
+    W = g.normal(size=(w1, w2))
+    stacks = {name: g.normal(size=shape)
+              for name, shape in plan.stack_shapes(s).items()}
+    return adapter.LsrAdaptLayer(W=W, alpha=alpha, plan=plan, s=s, **stacks)
 
 
 def check_forward_equivalence(trials: int) -> CheckResult:

@@ -231,20 +231,36 @@ def dense_adam_recovery(kind, w1, w2, r, s, plant_terms, n_samples, steps,
     return float(np.linalg.norm(alpha * A @ B - delta) / np.linalg.norm(delta))
 
 
+def reference_batches(n, batch_size, seed):
+    """The documented sampler, written plainly: index batches of a
+    sequential wrap-around over a permutation of range(n) from the
+    ``shuffle`` stream, drawn again each time the last one runs out."""
+    shuffle = _stream(seed, "shuffle")
+    order, pos = shuffle.permutation(n), 0
+    while True:
+        parts, count = [], 0
+        while count < batch_size:
+            if pos == n:
+                order, pos = shuffle.permutation(n), 0
+            take = min(batch_size - count, n - pos)
+            parts.append(order[pos:pos + take])
+            pos += take
+            count += take
+        yield np.concatenate(parts)
+
+
 def reference_train(layer, task, config):
     """Loss curve of the training loop written plainly, with ``layer``
     trained in place: per minibatch one public ``layer.forward`` and one
     ``layer.backward`` call (each forms the factors again), then SGD with
     momentum or Adam array by array over ``layer.params``; every dataset
-    loss is one public forward over all inputs.  Batches follow the
-    documented sampler: sequential wrap-around over a permutation from the
-    ``shuffle`` stream, drawn again at each epoch.  The loss is logged at
-    step 0, every max(1, steps // 100) steps and after the last step."""
+    loss is one public forward over all inputs.  Batches come from
+    ``reference_batches``.  The loss is logged at step 0, every
+    max(1, steps // 100) steps and after the last step."""
     params = layer.params
     state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
     n = len(task.inputs)
-    shuffle = _stream(config.seed, "shuffle")
-    order, pos = shuffle.permutation(n), 0
+    batches = reference_batches(n, config.batch_size, config.seed)
     log_every = max(1, config.steps // 100)
 
     def dataset_loss():
@@ -253,15 +269,7 @@ def reference_train(layer, task, config):
 
     curve = [dataset_loss()]
     for t in range(1, config.steps + 1):
-        parts, count = [], 0
-        while count < config.batch_size:
-            if pos == n:
-                order, pos = shuffle.permutation(n), 0
-            take = min(config.batch_size - count, n - pos)
-            parts.append(order[pos:pos + take])
-            pos += take
-            count += take
-        idx = np.concatenate(parts)
+        idx = next(batches)
         x = task.inputs[idx]
         resid = layer.forward(x) - task.targets[idx]
         grads, _ = layer.backward(x, (1.0 / len(idx)) * resid)

@@ -4,6 +4,7 @@ The binding gradient contract is agreement with central finite
 differences of a probe loss, not any particular formula.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -313,6 +314,13 @@ class TestParamCounts:
         plan = plan_shapes(w1, w2, r)
         lsr = init(W, plan, s, seed=1)
         lora = lora_init(W, r, seed=1)
+        shapes = plan.stack_shapes(s)
+        assert list(shapes) == list(lsr.params)
+        assert shapes == {k: p.shape for k, p in lsr.params.items()}
+        assert shapes == {k: v for k, v in lsr._expected_shapes().items()
+                          if k != "W"}
+        assert sum(math.prod(v) for v in shapes.values()) \
+            == count_params_lsr(plan, s) == lsr.n_params
         assert lsr.n_params == lsr.flat.size == count_params_lsr(plan, s)
         assert lora.n_params == lora.flat.size \
             == count_params_lora(w1, w2, r)

@@ -172,6 +172,32 @@ class TestApprox:
         assert "overflow float64" in out
         assert not (tmp_path / "dec").exists()
 
+    def test_overflowing_exact_svd_is_numerical_error(self, tmp_path,
+                                                      capsys):
+        # the exact SVD's QR triangle overflows: the error names the
+        # overflow, not a failed convergence
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.full((24, 24), 1.7e308))
+        code, out = run(capsys, "approx", str(src), "--left", "4x4",
+                        "--right", "6x6", "--terms", "2",
+                        "--out", str(tmp_path / "dec"))
+        assert code == 4
+        assert "overflow float64" in out
+        assert not (tmp_path / "dec").exists()
+
+    @pytest.mark.parametrize("left, right", [("-2x4", "-12x6"),
+                                             ("4x0", "6x6")])
+    def test_non_positive_factor_shape_is_usage_error(self, tmp_path, capsys,
+                                                      left, right):
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.eye(24))
+        code = main(["approx", str(src), f"--left={left}",
+                     f"--right={right}", "--terms", "2",
+                     "--out", str(tmp_path / "dec")])
+        assert code == 2
+        assert "expected positive ROWSxCOLS" in capsys.readouterr().err
+        assert not (tmp_path / "dec").exists()
+
     def test_input_over_memory_cap_is_numerical_error(self, tmp_path, capsys,
                                                        monkeypatch):
         src = tmp_path / "m.txt"
@@ -303,6 +329,14 @@ class TestTrain:
         code, _ = run(capsys, "train", "--plant", "kron-sum",
                       "--out", str(tmp_path / "run"))
         assert code == 2
+
+    def test_non_positive_plant_shape_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--w1", "12", "--w2", "12", "--plant",
+                     "kron-sum", "--plant-left=-2x4", "--plant-right=-6x3",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "expected positive ROWSxCOLS" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("terms", ["0", "-1"])
     @pytest.mark.parametrize("plant", [

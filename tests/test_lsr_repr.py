@@ -399,6 +399,14 @@ class TestRearrange:
         with pytest.raises(ValueError):
             rearrange(np.zeros((6, 6)), Shape(2, 2), Shape(2, 2))
 
+    @pytest.mark.parametrize("left, right", [
+        (Shape(-2, 4), Shape(-12, 6)), (Shape(4, -4), Shape(6, -6)),
+        (Shape(0, 4), Shape(6, 6))])
+    def test_non_positive_sizes_are_named(self, left, right):
+        # (-2)(-12) = 24 would pass the product check alone
+        with pytest.raises(ValueError, match="positive sizes"):
+            rearrange(np.ones((24, 24)), left, right)
+
     @pytest.mark.parametrize(
         "left, right", [((3, 5), (4, 2)), ((4, 4), (3, 3)), ((1, 6), (1, 5)),
                         ((7, 1), (13, 1)), ((13, 1), (1, 7))],
@@ -563,6 +571,18 @@ class TestTruncatedSvd:
             truncated_svd(M, 1)
         with pytest.raises(NumericalError, match="overflow float64"):
             nearest_kron_sum(M.reshape(2, 2), Shape(1, 1), Shape(2, 2), 1)
+
+    @pytest.mark.parametrize("M, k", [
+        (np.full((24, 24), 1.7e308), 2),
+        (rearrange(1.7e308 * np.eye(24), Shape(4, 4), Shape(6, 6)), 2),
+        (np.random.default_rng(64).normal(size=(64, 64)) * 1e307, 2),
+    ], ids=["constant", "rearranged-eye", "gaussian"])
+    def test_overflowing_exact_path_is_named(self, exact_svd_calls, M, k):
+        # the exact path's QR triangle overflows: named as an overflow,
+        # not as a failed convergence, and no RuntimeWarning escapes
+        with pytest.raises(NumericalError, match="overflow float64"):
+            truncated_svd(M, k)
+        assert len(exact_svd_calls) == 1
 
     def test_overflowing_certificate_takes_exact_path(self, exact_svd_calls):
         # the block iteration certifies this gapped input; at 1e200 times

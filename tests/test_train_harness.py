@@ -35,6 +35,7 @@ from oracles import (
     _stream,
     dense_adam_recovery,
     jacobi_singular_values,
+    reference_batches,
     reference_train,
 )
 
@@ -128,6 +129,13 @@ class TestGenTask:
     def test_plant_checks_its_parameters(self, plant):
         with pytest.raises(ValueError):
             gen_task(12, 10, plant, 4, 0.0, seed=0)
+
+    @pytest.mark.parametrize("left, right", [
+        (Shape(-2, 5), Shape(-6, 2)), (Shape(12, 0), Shape(1, 10))])
+    def test_kron_plant_refuses_non_positive_sizes(self, left, right):
+        # (-2)(-6) = 12 would pass the product check alone
+        with pytest.raises(ValueError, match="positive sizes"):
+            gen_task(12, 10, KronSumPlant(2, left, right), 4, 0.0, seed=0)
 
     def test_nonconforming_plant(self):
         with pytest.raises(ValueError):
@@ -293,6 +301,15 @@ class TestFusedStep:
         assert report.loss_curve == curve
         assert report.recovery_error == recovery_error(ref, task)
         assert np.array_equal(layer.flat, ref.flat)
+
+    @pytest.mark.parametrize("n, batch", [
+        (128, 32), (16, 16), (10, 32), (128, 7), (1, 1), (1, 5)])
+    def test_batches_match_reference_sampler(self, n, batch):
+        # at least three epochs, with batch > n and n = 1 among the cases
+        got = train_harness._batches(n, batch, seed=23)
+        want = reference_batches(n, batch, seed=23)
+        for _ in range(-(-3 * n // batch) + 2):
+            assert np.array_equal(next(got), next(want))
 
 
 class TestFlatBuffer:
