@@ -8,9 +8,10 @@ small matrices:
     B_sum = sum_k B1[k] (x) B2[k]      (r  x w2)
 
 with a1*a2 = w1, r1*r2 = r, b1*b2 = w2.  Forward and backward never
-materialize the w1 x w2 update.  Each call forms the two thin factors
-once (``update_factors()``: one ``kron_core._dense_kron_sum`` per side,
-O(s r (w1 + w2)) work) and then runs the plain low-rank map on them,
+materialize the w1 x w2 update.  Each call takes the two thin factors
+from ``update_factors()`` (one ``kron_core._dense_kron_sum`` per side,
+O(s r (w1 + w2)) work, when the parameters changed since they were last
+formed) and then runs the plain low-rank map on them,
 over a batch of inputs held as the rows of an (n, w2) array; a 1-D
 input is a batch of one and gets 1-D results back:
 
@@ -43,15 +44,19 @@ interface, so callers never branch on the type: ``params`` maps names
 views into one contiguous vector ``flat``, ``n_params`` is ``flat.size``,
 ``update_factors()`` gives the dense (A, B) before alpha, and
 ``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
-``grads`` keyed like ``params``.  The public calls form the factors on
-every call; the training loop forms them once per parameter state and
-runs the same unchecked cores, ``_low_rank_forward`` and
-``_low_rank_backward``, on them.  Both constructors run one checked
-step, ``_FlatParams._store``: it checks W, alpha and every trainable
-array and fills ``flat`` with copies of the arrays.
+``grads`` keyed like ``params``.  The public calls take the factors from
+``update_factors()``, which serves the factored layer's last formed pair
+again while its parameters are unchanged (one shared, content-checked
+entry; see ``LsrAdaptLayer.update_factors``); the training loop asks for
+them once per parameter state and runs the same unchecked cores,
+``_low_rank_forward`` and ``_low_rank_backward``, on them.  Both
+constructors run one checked step, ``_FlatParams._store``: it checks W,
+alpha and every trainable array and fills ``flat`` with copies of the
+arrays.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +66,12 @@ from .lsr_repr import KronTerm, SeparatedMatrix, Shape
 from .rng import rng_stream
 
 DEFAULT_ALPHA = 32.0
+
+# the last factor pair an LsrAdaptLayer formed: (weak reference to the
+# layer, its ``flat.tobytes()`` at the time, (A_sum, B_sum)), or None.
+# One entry for the whole process, so serving many layers adds no memory
+# per layer, and the weak reference never keeps a layer alive.
+_factor_cache = None
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,15 @@ class _FlatParams:
             start += size
         return out
 
+    def _views_bound(self) -> bool:
+        """Whether every trainable attribute is still its view into the
+        current ``flat`` (none was rebound, nor ``flat`` itself)."""
+        attrs, flat = vars(self), self.flat
+        for name, view in self._params.items():
+            if attrs.get(name) is not view or view.base is not flat:
+                return False
+        return True
+
     def __getstate__(self) -> dict:
         # a copy or pickle would turn each view into an array of its own,
         # cut off from flat; carry flat alone and bind the views again
@@ -211,9 +231,31 @@ class LsrAdaptLayer(_FlatParams):
         return {"W": (p.w1, p.w2), **p.stack_shapes(self.s)}
 
     def update_factors(self) -> tuple[Matrix, Matrix]:
-        """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2)."""
-        return (_dense_kron_sum(self.A1, self.A2),
-                _dense_kron_sum(self.B1, self.B2))
+        """The dense low-rank factors A_sum (w1 x r) and B_sum (r x w2),
+        as read-only arrays.
+
+        The pair last formed by any layer is kept in one module-wide
+        entry, keyed by a weak reference to its layer and the bytes of
+        that layer's ``flat``.  It is returned again only to the same
+        layer, while ``flat`` holds the same bytes and every trainable
+        attribute is still its view into ``flat``; any other call forms
+        both factors and replaces the entry.  So an in-place write to a
+        parameter, or a rebound attribute, is seen on the next call, a
+        value written and restored between two calls finds the entry
+        again, and a hit returns, bit for bit, what forming would give.
+        """
+        global _factor_cache
+        key = self.flat.tobytes()
+        entry = _factor_cache
+        if (entry is not None and entry[0]() is self and entry[1] == key
+                and self._views_bound()):
+            return entry[2]
+        factors = (_dense_kron_sum(self.A1, self.A2),
+                   _dense_kron_sum(self.B1, self.B2))
+        for f in factors:
+            f.setflags(write=False)
+        _factor_cache = (weakref.ref(self), key, factors)
+        return factors
 
     def _gradients(self, dA: Matrix, dB: Matrix, out=None) -> dict:
         # the dense factor gradients projected onto the four stacks, into
@@ -269,12 +311,15 @@ class LoraLayer(_FlatParams):
 
 def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
          seed: int = 0) -> LsrAdaptLayer:
-    """Fresh layer: A1, A2, B1 Gaussian, B2 zero.
+    """Fresh layer: A1, A2, B1 Gaussian, B2 zero; s < 1 is refused
+    before the first draw.
 
     The zero B2 family makes the materialized update exactly zero, so the
     layer reproduces W x at step 0 while still receiving gradient through
     B2 from the first step on.
     """
+    if s < 1:
+        raise ValueError(f"separation rank s must be >= 1, got {s}")
     g = rng_stream(seed, "adapter-init")
     a_std = np.sqrt(1.0 / plan.w2)
     b1_std = np.sqrt(1.0 / plan.r)
@@ -313,7 +358,7 @@ def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
 
 
 def _forward(layer, x) -> np.ndarray:
-    # the checked forward of both layer types, factors formed per call
+    # the checked forward of both layer types, on update_factors()
     X, single = _as_batch(x, layer.W.shape[1], "x")
     A, B = layer.update_factors()
     return _low_rank_forward(layer, X[0] if single else X, A,
@@ -362,7 +407,7 @@ def backward(layer: LsrAdaptLayer, x, g):
 
 
 def _backward(layer, x, g):
-    # the checked backward of both layer types, factors formed per call
+    # the checked backward of both layer types, on update_factors()
     w1, w2 = layer.W.shape
     X, single = _as_batch(x, w2, "x")
     G, _ = _as_batch(g, w1, "g")
@@ -398,7 +443,10 @@ def count_params_lora(w1: int, w2: int, r: int) -> int:
 
 def lora_init(W, r: int, alpha: float = DEFAULT_ALPHA,
               seed: int = 0) -> LoraLayer:
-    """Standard baseline init: A Gaussian, B zero (update starts at zero)."""
+    """Standard baseline init: A Gaussian, B zero (update starts at zero);
+    r < 1 is refused before the draw."""
+    if r < 1:
+        raise ValueError(f"rank r must be >= 1, got {r}")
     W = as_matrix(W, "W")
     w1, w2 = W.shape
     g = rng_stream(seed, "lora-init")

@@ -193,12 +193,15 @@ def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
     if n_terms < 0:
         raise ValueError(f"negative term count {n_terms}")
     base = manifest_path.parent
-    root = base.resolve()
+    root = os.path.realpath(base)
 
     def read_factor(line):
         rel = line.split(maxsplit=1)[1]
         path = base / rel
-        if Path(rel).is_absolute() or not path.resolve().is_relative_to(root):
+        # containment on resolved path strings: symlinks are followed,
+        # and a factor that resolves outside the directory is refused
+        if (os.path.isabs(rel) or os.path.commonpath(
+                (root, os.path.realpath(path))) != root):
             raise ValueError(f"factor path {rel!r} leaves the manifest "
                              f"directory")
         try:

@@ -4,8 +4,10 @@ The binding gradient contract is agreement with central finite
 differences of a probe loss, not any particular formula.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,8 +35,15 @@ from lsradapt import (
 
 from lsradapt.adapter import _project
 from lsradapt.kron_core import _dense_kron_sum
+from lsradapt.rng import rng_stream
 
-from oracles import _kron_sum_grads, central_diff, naive_kron, rel_err
+from oracles import (
+    _kron_sum_grads,
+    central_diff,
+    naive_kron,
+    reference_train,
+    rel_err,
+)
 
 
 def random_layer(g, w1, w2, r, s, alpha=1.0):
@@ -114,6 +123,31 @@ class TestInit:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             init(np.zeros((5, 5)), plan_shapes(12, 8, 4), s=1)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rank_below_one_refused_by_name(self, bad):
+        # refused before numpy sees a negative size
+        with pytest.raises(ValueError, match="separation rank s must be >= 1"):
+            init(np.zeros((12, 8)), plan_shapes(12, 8, 4), s=bad)
+        with pytest.raises(ValueError, match="rank r must be >= 1"):
+            lora_init(np.zeros((12, 8)), r=bad)
+
+    def test_draw_order(self):
+        # A1, A2, B1 in that order from one "adapter-init" stream, and
+        # A from one "lora-init" stream
+        plan = plan_shapes(12, 8, 4)
+        shapes = plan.stack_shapes(3)
+        layer = init(np.zeros((12, 8)), plan, s=3, seed=9)
+        g = rng_stream(9, "adapter-init")
+        for name, std in (("A1", 8**-0.5), ("A2", 8**-0.5), ("B1", 0.5)):
+            want = g.normal(0.0, std, size=shapes[name])
+            assert np.array_equal(getattr(layer, name), want), name
+        assert not layer.B2.any()
+        lora = lora_init(np.zeros((12, 8)), r=3, seed=9)
+        want = rng_stream(9, "lora-init").normal(0.0, np.sqrt(1.0 / 8),
+                                                 size=(12, 3))
+        assert np.array_equal(lora.A, want)
+        assert not lora.B.any()
 
 
 class TestArrayChecks:
@@ -627,3 +661,123 @@ class TestSharedLowRankPath:
         finally:
             tracemalloc.stop()
         assert peak < 768 * 768 * 8 / 4
+
+
+def _twin(layer):
+    """A new layer with copies of ``layer``'s current arrays."""
+    return LsrAdaptLayer(W=layer.W, alpha=layer.alpha, plan=layer.plan,
+                         s=layer.s, **{k: v.copy()
+                                       for k, v in layer.params.items()})
+
+
+class TestFactorCache:
+    """``update_factors`` serves a layer's last formed factors again only
+    while its parameters are unchanged: every result equals, bit for bit,
+    that of a layer that forms them afresh."""
+
+    def _served(self, seed):
+        g = np.random.default_rng(seed)
+        layer = random_layer(g, 12, 15, 4, 3, alpha=0.7)
+        X = g.normal(size=(4, 15))
+        forward(layer, X)  # leaves the entry warm for this layer
+        return layer, X
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "B1", "B2", "flat"])
+    def test_in_place_write_is_seen(self, name):
+        layer, X = self._served(101)
+        target = layer.flat if name == "flat" else layer.params[name]
+        target.reshape(-1)[-1] += 0.5
+        got = forward(layer, X)
+        assert np.array_equal(got, forward(_twin(layer), X))
+        grads, dx = backward(layer, X, np.ones((4, 12)))
+        twin_grads, twin_dx = backward(_twin(layer), X, np.ones((4, 12)))
+        assert np.array_equal(dx, twin_dx)
+        for k in grads:
+            assert np.array_equal(grads[k], twin_grads[k]), k
+
+    @pytest.mark.parametrize("name", ["A1", "B2"])
+    def test_restored_value_is_bit_identical(self, name):
+        layer, X = self._served(102)
+        want = forward(layer, X)
+        A, B = layer.update_factors()
+        arr = layer.params[name].reshape(-1)
+        old = arr[0]
+        arr[0] = old + 1.0
+        arr[0] = old
+        # no call saw the written value, so the entry is found again
+        assert layer.update_factors()[0] is A
+        arr[0] = old + 1.0
+        assert not np.array_equal(forward(layer, X), want)
+        arr[0] = old
+        assert np.array_equal(forward(layer, X), want)
+
+    def test_rebound_attribute_misses(self):
+        layer, _ = self._served(103)
+        A, B = layer.update_factors()
+        layer.A1 = layer.A1.copy()  # equal values, no longer a view
+        assert layer.update_factors()[0] is not A
+        layer.A1 = 2.0 * layer.A1
+        want = _dense_kron_sum(layer.A1, layer.A2)
+        assert np.array_equal(layer.update_factors()[0], want)
+        layer, _ = self._served(104)
+        A, B = layer.update_factors()
+        layer.flat = layer.flat.copy()  # the views point at the old flat
+        assert layer.update_factors()[0] is not A
+
+    def test_layers_served_alternately_get_their_own(self):
+        g = np.random.default_rng(105)
+        one = random_layer(g, 12, 15, 4, 3)
+        two = random_layer(g, 12, 15, 4, 3)
+        x = g.normal(size=15)
+        want = {id(one): forward(_twin(one), x),
+                id(two): forward(_twin(two), x)}
+        for _ in range(3):
+            for layer in (one, two, two, one):
+                assert np.array_equal(forward(layer, x), want[id(layer)])
+
+    def test_served_layer_is_collected_and_never_reused(self):
+        layer, _ = self._served(106)
+        A, B = layer.update_factors()
+        arrays = {k: v.copy() for k, v in layer.params.items()}
+        W, plan = layer.W, layer.plan
+        ref = weakref.ref(layer)
+        del layer
+        gc.collect()
+        assert ref() is None
+        # same bytes, maybe the same address: still a new layer
+        new = LsrAdaptLayer(W=W, alpha=0.7, plan=plan, s=3, **arrays)
+        got = new.update_factors()
+        assert got[0] is not A and got[1] is not B
+        assert np.array_equal(got[0], A) and np.array_equal(got[1], B)
+
+    def test_factors_are_read_only(self):
+        layer, _ = self._served(107)
+        for f in layer.update_factors():
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_train_matches_reference_loop(self, kind):
+        # both layers are served before and between their runs, so each
+        # run starts from an entry another layer left
+        g = np.random.default_rng(108)
+        plan = plan_shapes(12, 12, 4)
+        task = gen_task(12, 12, DensePlant(), n_samples=24, noise_std=0.0,
+                        seed=5)
+        layer = init(task.W, plan, 2, alpha=1.0, seed=5)
+        ref = init(task.W, plan, 2, alpha=1.0, seed=5)
+        layer.A2[...] = ref.A2[...] = g.normal(size=ref.A2.shape)
+        layer.B2[...] = ref.B2[...] = g.normal(size=ref.B2.shape)
+        x = g.normal(size=12)
+        cfg = OptimizerConfig(kind=kind, learning_rate=1e-3, steps=40,
+                              batch_size=8, seed=5)
+        forward(layer, x)
+        forward(ref, x)
+        report = train(layer, task, cfg)
+        forward(layer, x)
+        curve = reference_train(ref, task, cfg)
+        assert report.loss_curve == curve
+        assert np.array_equal(layer.flat, ref.flat)
+        assert np.array_equal(forward(layer, x), forward(ref, x))
+        assert np.array_equal(forward(layer, x), forward(_twin(layer), x))

@@ -338,6 +338,19 @@ class TestTrain:
         assert "expected positive ROWSxCOLS" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, message", [
+        (["--s", "-1"], "separation rank s must be >= 1, got -1"),
+        (["--s", "0"], "separation rank s must be >= 1, got 0"),
+        (["--adapter", "compare", "--lora-r", "-1"],
+         "rank r must be >= 1, got -1"),
+    ], ids=["s-negative", "s-zero", "lora-r-negative"])
+    def test_adapter_rank_below_one_is_named(self, tmp_path, capsys, args,
+                                             message):
+        code, out = run(capsys, "train", "--w1", "8", "--w2", "8", "--r", "2",
+                        "--steps", "3", *args, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert message in out
+
     @pytest.mark.parametrize("terms", ["0", "-1"])
     @pytest.mark.parametrize("plant", [
         ["lsr-product"],
@@ -369,6 +382,18 @@ class TestBench:
         want = (2 * 12 * 12) / (form + per_vector)
         assert float(grab(out, "flop-ratio")) == pytest.approx(want,
                                                                rel=1e-12)
+
+    def test_warm_flop_ratio(self, capsys):
+        code, out = run(capsys, "bench", "--w1", "12", "--w2", "10",
+                        "--r", "4", "--s", "3", "--repeats", "3")
+        assert code == 0
+        # a warm forward reuses the formed factors: one thin product per
+        # side, r w2 then w1 r multiply-adds, against w1 w2 for the dense
+        # delta apply
+        want = (12 * 10) / (4 * 10 + 12 * 4)
+        assert float(grab(out, "warm-flop-ratio")) == pytest.approx(
+            want, rel=1e-12)
+        assert "times the warm path" in out
 
     def test_time_ratio_is_measured(self, capsys):
         code, out = run(capsys, "bench", "--w1", "12", "--w2", "12",

@@ -242,6 +242,29 @@ def test_factor_path_outside_manifest_dir_rejected(tmp_path, absolute):
         read_separated(path)
 
 
+def _link_first_factor(path, lines, target_dir):
+    """Move the manifest's first factor file into target_dir and leave a
+    symlink to it in its place."""
+    rel = next(ln for ln in lines if ln.startswith("factor ")).split()[1]
+    factor = path.parent / rel
+    target_dir.mkdir()
+    factor.symlink_to(factor.rename(target_dir / rel))
+
+
+def test_factor_symlinked_outside_manifest_dir_rejected(tmp_path):
+    path, lines = _manifest_lines(tmp_path / "m")
+    _link_first_factor(path, lines, tmp_path / "other")
+    with pytest.raises(ValueError, match="leaves the manifest directory"):
+        read_separated(path)
+
+
+def test_factor_symlinked_inside_manifest_dir_accepted(tmp_path):
+    path, lines = _manifest_lines(tmp_path / "m")
+    want = materialize(read_separated(path))
+    _link_first_factor(path, lines, tmp_path / "m" / "store")
+    assert np.array_equal(materialize(read_separated(path)), want)
+
+
 def test_oversized_factor_keeps_memory_cap_error(tmp_path, monkeypatch):
     path, _ = _manifest_lines(tmp_path)
     monkeypatch.setenv("LSR_MEM_CAP_MB", "0")
