@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kron_core import Matrix, _checked, _dense_kron_sum, _project, as_matrix
-from .lsr_repr import KronTerm, SeparatedMatrix, Shape
+from .lsr_repr import SeparatedMatrix, Shape
 from .rng import rng_stream
 
 DEFAULT_ALPHA = 32.0
@@ -474,5 +474,4 @@ def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:
     p = layer.plan
     P = (layer.A1[:, None] @ layer.B1).reshape(-1, p.a1, p.b1)
     Q = (layer.A2[:, None] @ layer.B2).reshape(-1, p.a2, p.b2)
-    return SeparatedMatrix(Shape(p.w1, p.w2),
-                           [KronTerm(1.0, pq) for pq in zip(P, Q)])
+    return SeparatedMatrix(Shape(p.w1, p.w2), [(1.0, pq) for pq in zip(P, Q)])

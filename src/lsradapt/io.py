@@ -2,7 +2,7 @@
 
 Text matrices: first line ``rows cols``, then one line per row of
 space-separated decimal floats written with shortest-round-trip
-formatting (reading recovers the exact values).
+formatting (reading recovers the exact values); only blank lines follow.
 
 Binary matrices: magic ``LSRB``, one version byte, unsigned 32-bit
 little-endian rows and cols, then rows*cols little-endian IEEE float64
@@ -10,7 +10,8 @@ values in row-major order.  Round-trips are bit-exact.
 
 A separated representation is stored as a manifest (text) naming the
 shape, the term count, and per term the weight plus relative paths of
-the factor files.
+the factor files, named after the manifest: printable ASCII with no path
+separator and no leading or trailing space, so the reader finds them.
 
 Both matrix readers refuse a header whose ``rows*cols`` float64 values
 exceed ``LSR_MEM_CAP_MB`` (``MemoryCapError``) before they allocate.
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .kron_core import Matrix, Shape, as_matrix
-from .lsr_repr import KronTerm, SeparatedMatrix
+from .lsr_repr import SeparatedMatrix
 
 MAGIC = b"LSRB"
 VERSION = 1
@@ -129,20 +130,28 @@ def _read_matrix_text(path) -> Matrix:
                 data[i] = np.array(parts, dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {i}: {exc}") from exc
+        # read in bounded chunks, so a long tail is never held at once
+        for tail in iter(lambda: fh.read(1 << 16), ""):
+            if not tail.isspace():
+                raise ValueError(f"{path}: text past the {rows} declared rows")
     return as_matrix(data, str(path))
 
 
 def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path:
     """Write factor files (binary) plus a manifest; returns the manifest
-    path.  Factor paths inside the manifest are relative to it."""
+    path.  Factor paths inside the manifest are relative to it.  A name the
+    reader could not read back is a ``ValueError`` before any file exists."""
+    if (not (name.isascii() and name.isprintable()) or name != name.strip()
+            or "/" in name or "\\" in name):
+        raise ValueError(f"name {name!r} must be printable ASCII with no "
+                         f"path separator and no leading or trailing space")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"lsr-manifest {VERSION}",
              f"shape {S.shape.rows} {S.shape.cols}",
              f"terms {len(S.terms)}"]
     for k, term in enumerate(S.terms):
-        lines.append(f"term {k}")
-        lines.append(f"weight {float(term.weight)!r}")
+        lines += [f"term {k}", f"weight {term.weight!r}"]
         for i, factor in enumerate(term.factors):
             rel = f"{name}_t{k:03d}_f{i}.lsrb"
             write_matrix_binary(directory / rel, factor)
@@ -222,7 +231,7 @@ def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
         while i < len(lines) and lines[i].startswith("factor "):
             factors.append(read_factor(lines[i]))
             i += 1
-        terms.append(KronTerm(weight, factors))
+        terms.append((weight, factors))
     if i < len(lines):
         raise ValueError(f"unexpected line {i + 1} after the last term: "
                          f"{lines[i]!r}")

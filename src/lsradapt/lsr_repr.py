@@ -28,6 +28,7 @@ from .kron_core import (
     Matrix,
     Shape,
     Vector,
+    _checked,
     _dense_kron_sum,
     _kron_sum,
     _rearrange,
@@ -44,34 +45,22 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class KronTerm:
-    """One summand of a separated representation: weight * (x)_i factors[i]."""
+    """One summand weight * (x)_i factors[i] of a separated representation:
+    a plain record that unpacks like a ``(weight, factors)`` pair."""
 
     weight: float
     factors: tuple[Matrix, ...]
 
-    def __init__(self, weight: float, factors):
-        facs = tuple(as_matrix(f, f"factor {i}") for i, f in enumerate(factors))
-        if not facs:
-            raise ValueError("a term needs at least one factor")
-        if not math.isfinite(float(weight)):
-            raise ValueError(f"term weight {weight} is not finite")
-        object.__setattr__(self, "weight", float(weight))
-        object.__setattr__(self, "factors", facs)
-
-    @classmethod
-    def _view(cls, weight, factors) -> "KronTerm":
-        # a term over factors that are already checked (slices of a
-        # SeparatedMatrix's read-only stacks), built without checking again
-        term = object.__new__(cls)
-        object.__setattr__(term, "weight", float(weight))
-        object.__setattr__(term, "factors", tuple(factors))
-        return term
+    def __iter__(self):
+        return iter((self.weight, self.factors))
 
 
 @dataclass(frozen=True, eq=False)
 class SeparatedMatrix:
     """Target shape plus s Kronecker terms as read-only copies: ``weights``
-    (s,) and per factor position i ``stacks[i]`` (s, rows_i, cols_i)."""
+    (s,) and per factor position i ``stacks[i]`` (s, rows_i, cols_i).  The
+    constructor, which takes ``KronTerm``s or ``(weight, factors)`` pairs,
+    is the only check: once for the weights and once per factor stack."""
 
     shape: Shape
     weights: Vector
@@ -81,19 +70,22 @@ class SeparatedMatrix:
         shape = Shape(int(shape[0]), int(shape[1]))
         if shape.rows < 1 or shape.cols < 1:
             raise ValueError(f"shape must be positive, got {shape}")
-        terms = tuple(terms)
-        shapes = [[f.shape for f in t.factors] for t in terms]
+        terms = [(w, tuple(fs)) for w, fs in terms]
+        shapes = [list(map(np.shape, fs)) for _, fs in terms]
         for k, fs in enumerate(shapes):
+            if not fs:
+                raise ValueError("a term needs at least one factor")
             if fs != shapes[0]:
                 raise ValueError(f"term {k} has factor shapes {fs}, but "
                                  f"term 0 has {shapes[0]}")
-        stacks = tuple(map(np.array, zip(*(t.factors for t in terms))))
+        weights = _checked([w for w, _ in terms], "weights", 1)
+        stacks = tuple(_checked(F, f"factor {i} stack", 3)
+                       for i, F in enumerate(zip(*(fs for _, fs in terms))))
         rows = math.prod(F.shape[1] for F in stacks)
         cols = math.prod(F.shape[2] for F in stacks)
         if stacks and (rows, cols) != shape:
             raise ValueError(f"terms materialize to {rows}x{cols}, expected "
                              f"{shape.rows}x{shape.cols}")
-        weights = np.array([t.weight for t in terms], dtype=np.float64)
         for a in (weights, *stacks):
             a.flags.writeable = False
         self.__dict__.update(shape=shape, weights=weights, stacks=stacks)
@@ -105,7 +97,7 @@ class SeparatedMatrix:
     @cached_property
     def terms(self) -> tuple[KronTerm, ...]:
         """One ``KronTerm`` per term; its factors are slices of ``stacks``."""
-        return tuple(map(KronTerm._view, self.weights, zip(*self.stacks)))
+        return tuple(map(KronTerm, self.weights.tolist(), zip(*self.stacks)))
 
     @cached_property
     def _pair(self) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +220,7 @@ def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
     stacks = [F / n[:, None, None] for F, n in zip(S.stacks, norms)]
     keep = np.flatnonzero(weights)
     keep = keep[np.argsort(-np.abs(weights[keep]), kind="stable")]
-    return SeparatedMatrix(S.shape, map(KronTerm, np.abs(weights[keep]),
+    return SeparatedMatrix(S.shape, zip(np.abs(weights[keep]),
                                         zip(*(F[keep] for F in stacks))))
 
 
@@ -393,8 +385,7 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     pivot = flat[np.arange(kept), np.argmax(np.abs(flat), axis=1)]
     sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None, None]
     P, Q = sign * P, sign * Q
-    return SeparatedMatrix(Shape(M.shape[0], M.shape[1]),
-                           map(KronTerm, sigma[:kept], zip(P, Q)))
+    return SeparatedMatrix(M.shape, zip(sigma[:kept], zip(P, Q)))
 
 
 def factor_vector(u, dims) -> tuple[list[Vector], float]:
@@ -471,8 +462,7 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
     for u, v in zip(us, vs):
         u_parts, du = _factor_vector(u, _checked_dims(row_factors, u.size))
         v_parts, dv = _factor_vector(v, _checked_dims(col_factors, v.size))
-        terms.append(KronTerm(1.0, [np.outer(a, b)
-                                    for a, b in zip(u_parts, v_parts)]))
+        terms.append((1.0, list(map(np.outer, u_parts, v_parts))))
         # u^ is orthogonal to u - u^ (norm du), v^ to v - v^ (norm dv), so
         # ||u v^T - u^ v^^T||^2 = du^2 ||v||^2 + ||u||^2 dv^2 - du^2 dv^2:
         # small terms, free of the cancellation in ||u v^T||^2 - ||u^ v^^T||^2

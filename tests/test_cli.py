@@ -128,6 +128,18 @@ class TestApprox:
         assert "cannot read" in out
         assert not (tmp_path / "dec").exists()
 
+    @pytest.mark.parametrize("name", ["../escape", "a/b", "caf\u00e9"])
+    def test_unreadable_name_is_usage_error(self, tmp_path, capsys, name):
+        src = tmp_path / "in" / "m.txt"
+        src.parent.mkdir()
+        write_matrix_text(src, np.eye(4))
+        code, out = run(capsys, "approx", str(src), "--left", "2x2",
+                        "--right", "2x2", "--terms", "1",
+                        "--out", str(tmp_path / "dec"), "--name", name)
+        assert code == 2
+        assert "printable ASCII" in out
+        assert sorted(tmp_path.rglob("*")) == [src.parent, src]
+
     def test_nonconforming_shapes_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         write_matrix_text(src, np.eye(6))

@@ -126,6 +126,27 @@ class TestTextFormat:
         path.write_text("2 2\n1 2\n3 4")
         assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_trailing_blank_lines_still_read(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 2\n3 4\n\n  \n\t\n")
+        assert np.array_equal(read_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("tail", ["5 6\n", "\n\n7", "\n" * 70000 + "x"],
+                             ids=["extra-row", "after-blank-lines",
+                                  "past-one-chunk"])
+    def test_rows_past_the_header_rejected(self, tmp_path, tail):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 2\n3 4\n" + tail)
+        with pytest.raises(ValueError) as info:
+            read_matrix(path)
+        assert str(path) in str(info.value)
+        assert "past the 2 declared rows" in str(info.value)
+
+    def test_long_tail_is_not_read_at_once(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 1\n1\n" + " " * 2**22 + "x")
+        assert read_peak_bytes(path, ValueError) < 2**20
+
 
 @pytest.mark.parametrize("writer", [write_matrix_text, write_matrix_binary])
 def test_memory_cap_checked_before_allocating(tmp_path, monkeypatch, writer):
@@ -160,6 +181,22 @@ class TestManifest:
         back = read_separated(write_separated(S, tmp_path, name="empty"))
         assert back.shape == Shape(4, 5)
         assert back.terms == ()
+
+    @pytest.mark.parametrize("name", ["../up", "a/b", "a\\b", " lead",
+                                      "trail ", "two\nlines", "cr\r",
+                                      "caf\u00e9", "nul\x00"])
+    def test_name_the_reader_refuses_is_refused_first(self, tmp_path, name):
+        S = SeparatedMatrix(Shape(4, 4), [(1.0, [np.eye(2), np.eye(2)])])
+        with pytest.raises(ValueError, match="printable ASCII"):
+            write_separated(S, tmp_path / "out", name=name)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["probe", "a b", "..", "x.y-z_1", ""])
+    def test_accepted_name_reads_back(self, tmp_path, name):
+        S = SeparatedMatrix(Shape(4, 4), [(2.0, [np.eye(2), np.ones((2, 2))])])
+        back = read_separated(write_separated(S, tmp_path, name=name))
+        assert np.array_equal(materialize(back), materialize(S))
+        assert sorted(p.parent for p in tmp_path.iterdir()) == [tmp_path] * 3
 
     def test_bad_manifest_rejected(self, tmp_path):
         path = tmp_path / "x.manifest"

@@ -165,6 +165,75 @@ class TestStackedKronSum:
                 KronTerm(1.0, [g.normal(size=(3, 2)), g.normal(size=(2, 3))])])
 
 
+def _count_checks(monkeypatch):
+    """The names ``lsr_repr._checked`` is called with, from now on."""
+    checks = []
+    original = lsradapt.lsr_repr._checked
+    monkeypatch.setattr(lsradapt.lsr_repr, "_checked",
+                        lambda a, name, ndim: checks.append(name) or
+                        original(a, name, ndim))
+    return checks
+
+
+EYE2 = np.eye(2)
+REFUSED_TERMS = {
+    "nan-weight": ([(np.nan, [EYE2, EYE2])], "non-finite"),
+    "inf-weight": ([(-np.inf, [EYE2, EYE2])], "non-finite"),
+    "nan-factor": ([(1.0, [EYE2, np.full((2, 2), np.nan)])], "non-finite"),
+    "inf-factor": ([(1.0, [np.full((2, 2), np.inf), EYE2])], "non-finite"),
+    "no-factors": ([(1.0, [EYE2, EYE2]), (1.0, [])],
+                   "a term needs at least one factor"),
+    "zero-size-factor": ([(1.0, [np.zeros((0, 2)), EYE2])],
+                         "materialize to 0x4"),
+    "mixed-shapes": ([(1.0, [EYE2, EYE2]),
+                      (1.0, [np.ones((1, 4)), np.ones((4, 1))])],
+                     "term 1 has factor shapes"),
+    "mixed-counts": ([(1.0, [EYE2, EYE2]), (1.0, [np.eye(4)])],
+                     "term 1 has factor shapes"),
+    "wrong-shape": ([(1.0, [EYE2, np.eye(3)])], "materialize to"),
+}
+
+
+class TestConstructorBoundary:
+    @pytest.mark.parametrize("record", [False, True],
+                             ids=["pairs", "records"])
+    @pytest.mark.parametrize("terms, match", REFUSED_TERMS.values(),
+                             ids=REFUSED_TERMS.keys())
+    def test_refusals(self, terms, match, record):
+        if record:
+            terms = [KronTerm(w, fs) for w, fs in terms]
+        with pytest.raises(ValueError, match=match):
+            SeparatedMatrix(Shape(4, 4), terms)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_check_per_factor_position(self, monkeypatch, order):
+        g = np.random.default_rng(69)
+        terms = [(float(g.normal()), [g.normal(size=(2, 2))] * order)
+                 for _ in range(5)]
+        checks = _count_checks(monkeypatch)
+        SeparatedMatrix(Shape(2**order, 2**order), terms)
+        assert checks == ["weights"] + [f"factor {i} stack"
+                                        for i in range(order)]
+
+    def test_pairs_and_records_build_the_same_representation(self):
+        g = np.random.default_rng(70)
+        pairs = [(float(g.normal()), [g.normal(size=(2, 3)),
+                                      g.normal(size=(3, 2))])
+                 for _ in range(3)]
+        a = SeparatedMatrix(Shape(6, 6), pairs)
+        b = SeparatedMatrix(Shape(6, 6), [KronTerm(*p) for p in pairs])
+        assert a.weights.tobytes() == b.weights.tobytes()
+        for F, G in zip(a.stacks, b.stacks, strict=True):
+            assert F.tobytes() == G.tobytes()
+
+    def test_record_is_plain(self):
+        factors = [np.array([[np.nan]])]
+        term = KronTerm(1.0, factors)
+        assert term.factors is factors
+        assert tuple(term) == (1.0, factors)
+        assert term != KronTerm(1.0, factors)
+
+
 class TestStoredLayout:
     def _two_term(self):
         g = np.random.default_rng(68)
@@ -201,17 +270,15 @@ class TestStoredLayout:
 
     def test_terms_view_does_not_check_again(self, monkeypatch):
         _, S = self._two_term()
-        checks = []
-        original = lsradapt.lsr_repr.as_matrix
-        monkeypatch.setattr(lsradapt.lsr_repr, "as_matrix",
-                            lambda a, name: checks.append(name) or
-                            original(a, name))
+        checks = _count_checks(monkeypatch)
         assert len(S.terms) == 2
         assert checks == []
-        # a term built from outside keeps every check
+        # a term built from outside is checked where a representation
+        # takes it in
+        term = KronTerm(1.0, [np.array([[np.nan]])])
         with pytest.raises(ValueError, match="non-finite"):
-            KronTerm(1.0, [np.array([[np.nan]])])
-        assert checks == ["factor 0"]
+            SeparatedMatrix(Shape(1, 1), [term])
+        assert checks == ["weights", "factor 0 stack"]
 
     def test_empty_has_no_stacks(self):
         S = SeparatedMatrix(Shape(3, 5))
