@@ -46,7 +46,9 @@ def _parse_shape(text: str) -> Shape:
 
 
 def cmd_approx(args) -> int:
-    io.mem_cap_bytes()  # a malformed cap is a usage error, before any read
+    # a malformed cap or manifest name is a usage error, before any read
+    io.mem_cap_bytes()
+    io.check_name(args.name)
     try:
         M = io.read_matrix(args.input)
     except io.MemoryCapError as exc:
@@ -60,7 +62,7 @@ def cmd_approx(args) -> int:
     budgets = [lsr_repr.PrecisionBudget(mu, args.epsilon)
                for mu in mus.values()]
     approx, gamma, verdicts = lsr_repr.diagnose(S, budgets)
-    fro_err = float(np.linalg.norm(M - approx))
+    fro_err = float(np.linalg.norm(np.subtract(M, approx, out=approx)))
     norm = float(np.linalg.norm(M))
     rel_err = fro_err / norm if norm > 0 else fro_err
 

@@ -137,14 +137,21 @@ def _read_matrix_text(path) -> Matrix:
     return as_matrix(data, str(path))
 
 
-def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path:
-    """Write factor files (binary) plus a manifest; returns the manifest
-    path.  Factor paths inside the manifest are relative to it.  A name the
-    reader could not read back is a ``ValueError`` before any file exists."""
+def check_name(name: str) -> None:
+    """A ``ValueError`` unless ``read_separated`` can read back the files
+    ``write_separated`` names after ``name``."""
     if (not (name.isascii() and name.isprintable()) or name != name.strip()
             or "/" in name or "\\" in name):
         raise ValueError(f"name {name!r} must be printable ASCII with no "
                          f"path separator and no leading or trailing space")
+
+
+def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path:
+    """Write factor files (binary) plus a manifest; returns the manifest
+    path.  Factor paths inside the manifest are relative to it.  A name the
+    reader could not read back (``check_name``) is a ``ValueError`` before
+    any file exists."""
+    check_name(name)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"lsr-manifest {VERSION}",

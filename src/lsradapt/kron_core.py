@@ -9,13 +9,16 @@ Conventions fixed here and relied on everywhere else:
   stack COLUMN-MAJOR, under which ``(P (x) Q) vec(X) = vec(Q X P^T)``.
 
 ``_rearrange`` is the Van Loan-Pitsianis map R[(i, j), (a, b)] =
-D[(i, a), (j, b)] beneath every stacked Kronecker sum sum_k P[k] (x) Q[k]
-in the package: ``_dense_kron_sum`` forms one, ``_project`` is its
+D[(i, a), (j, b)] beneath the dense stacked Kronecker sums sum_k P[k] (x)
+Q[k] in the package: ``_dense_kron_sum`` forms one and ``_project`` is its
 adjoint (together they are all the adapter needs: it forms its two thin
-factors and projects their dense gradients) and ``_kron_sum`` applies one
-to a batch without forming it, for ``lsr_repr.apply`` and ``apply_kron2``.
+factors and projects their dense gradients).  ``_kron_sum`` applies one
+to a batch without forming it, for ``lsr_repr.apply`` and ``apply_kron2``:
+one batched matmul against the per-term transposed Q stack, then one
+against P side by side, with no rearrangement copy between them.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +41,9 @@ def _checked(a, name: str, ndim: int | None) -> np.ndarray:
     m = np.asarray(a, dtype=np.float64, order="C")
     if ndim is not None and m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    # a finite sum of squares has only finite terms, so the exact test
+    # runs only when np.vdot (which, unlike @, never warns) is not finite
+    if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -131,29 +136,28 @@ def _side_by_side(P: np.ndarray) -> Matrix:
     return P.transpose(1, 0, 2).reshape(pr, s * pc)
 
 
-def _kron_sum(P_wide: Matrix, Q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _kron_sum(P_wide: Matrix, Qt: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """sum_k P[k] @ Z[i] @ Q[k]^T for every i, given P side by side
-    (``P_wide = _side_by_side(P)``, so a caller applying one P often
-    forms it once).
+    (``P_wide = _side_by_side(P)``) and Q transposed per term
+    (``Qt[k] = Q[k].T``), so a caller applying one pair often forms both
+    operands once.
 
     P is (s, pr, pc), Q is (s, qr, qc), Z is (n, pc, qc); the result is
     (n, pr, qr).  Flattened row-major, this applies sum_k P[k] (x) Q[k]
-    to every row.  One GEMM against the stacked Q forms all Z[i] Q[k]^T,
-    ``_rearrange`` groups them by (i, k), and the side-by-side P then
-    contracts over (k, row) in one batched matmul, so the sum over k
-    needs no pass of its own.
+    to every row.  One batched matmul forms every Z[i] Q[k]^T, already
+    grouped by (i, k); flattened to (n, s * pc, qr) without a copy, the
+    side-by-side P contracts it over (k, row) in a second batched matmul,
+    so the sum over k needs no pass of its own.
     """
-    s, qr, qc = Q.shape
+    s, _, qr = Qt.shape
     n, pc = Z.shape[:2]
-    T = _rearrange(Z.reshape(n * pc, qc) @ Q.reshape(s * qr, qc).T,
-                   n, s, pc, qr).reshape(n, s * pc, qr)
-    return P_wide @ T
+    return P_wide @ (Z[:, None] @ Qt).reshape(n, s * pc, qr)
 
 
 def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
     # unvalidated core of apply_kron2: _kron_sum on a stack of one, whose
     # side-by-side form is P itself
-    return _kron_sum(P, Q[None],
+    return _kron_sum(P, Q.T[None],
                      x.reshape(1, P.shape[1], Q.shape[1])).reshape(-1)
 
 

@@ -115,9 +115,11 @@ class SeparatedMatrix:
         return self.weights[:, None, None] * P, Q
 
     @cached_property
-    def _pair_wide(self) -> np.ndarray:
-        """``_pair``'s P side by side, the left operand of every ``apply``."""
-        return _side_by_side(self._pair[0])
+    def _pair_wide(self) -> tuple[np.ndarray, np.ndarray]:
+        """The operands of every ``apply``: ``_pair``'s P side by side and
+        its Q transposed per term, C-contiguous."""
+        P, Q = self._pair
+        return _side_by_side(P), np.ascontiguousarray(Q.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,33 @@ class PrecisionBudget:
             raise ValueError("epsilon must be positive")
 
 
+# rows of its result materialize forms at a time (at least one row of P)
+_MATERIALIZE_ROWS = 64
+
+
 def materialize(S: SeparatedMatrix) -> Matrix:
-    """Dense sum of all weighted Kronecker terms (zero matrix if empty)."""
-    return _dense_kron_sum(*S._pair)
+    """Dense sum of all weighted Kronecker terms (zero matrix if empty),
+    filled one block of ``_pair``'s P rows at a time so that no temporary
+    of the whole result is built."""
+    P, Q = S._pair
+    out = np.empty(S.shape)
+    qr = Q.shape[1]
+    step = max(1, _MATERIALIZE_ROWS // qr)
+    for i in range(0, P.shape[1], step):
+        out[i * qr:(i + step) * qr] = _dense_kron_sum(P[:, i:i + step], Q)
+    return out
 
 
 def apply(S: SeparatedMatrix, x) -> Vector:
     """Matrix-free materialize(S) @ x for every factor count (``_kron_sum``
-    on the stacks of ``S._pair``, with its P side by side formed once per
+    on the stacks of ``S._pair``, with both of its operands formed once per
     representation).  x is validated once here; the stacks were
     validated when S was built."""
     x = as_vector(x, "x")
     if x.size != S.shape.cols:
         raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
-    P, Q = S._pair
-    return _kron_sum(S._pair_wide, Q,
-                     x.reshape(1, P.shape[2], Q.shape[2])).reshape(-1)
+    P_wide, Qt = S._pair_wide
+    return _kron_sum(P_wide, Qt, x.reshape(1, -1, Qt.shape[1])).reshape(-1)
 
 
 def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:

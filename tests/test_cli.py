@@ -140,6 +140,18 @@ class TestApprox:
         assert "printable ASCII" in out
         assert sorted(tmp_path.rglob("*")) == [src.parent, src]
 
+    def test_name_is_checked_before_the_input_is_read(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def unreadable(path):
+            raise AssertionError(f"read {path} before checking the name")
+        monkeypatch.setattr(lsradapt.io, "read_matrix", unreadable)
+        code, out = run(capsys, "approx", str(tmp_path / "nope.txt"),
+                        "--left", "2x2", "--right", "2x2", "--terms", "1",
+                        "--out", str(tmp_path / "dec"), "--name", "../escape")
+        assert code == 2
+        assert "printable ASCII" in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconforming_shapes_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         write_matrix_text(src, np.eye(6))

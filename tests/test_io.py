@@ -302,6 +302,35 @@ def test_factor_symlinked_inside_manifest_dir_accepted(tmp_path):
     assert np.array_equal(materialize(read_separated(path)), want)
 
 
+@pytest.mark.parametrize("link_to", ["inside", "outside"])
+def test_factor_under_a_symlinked_directory(tmp_path, link_to):
+    path, lines = _manifest_lines(tmp_path / "m")
+    want = materialize(read_separated(path))
+    i = next(j for j, ln in enumerate(lines) if ln.startswith("factor "))
+    rel = lines[i].split()[1]
+    store = tmp_path / ("m" if link_to == "inside" else "other") / "store"
+    store.mkdir(parents=True)
+    (path.parent / rel).rename(store / rel)
+    (path.parent / "link").symlink_to(store)
+    lines[i] = f"factor ./link//{rel}"
+    path.write_text("\n".join(lines) + "\n")
+    if link_to == "inside":
+        assert np.array_equal(materialize(read_separated(path)), want)
+    else:
+        with pytest.raises(ValueError, match="leaves the manifest directory"):
+            read_separated(path)
+
+
+def test_factor_path_through_dotdot_inside_accepted(tmp_path):
+    path, lines = _manifest_lines(tmp_path / "m")
+    want = materialize(read_separated(path))
+    (path.parent / "sub").mkdir()
+    lines = [f"factor sub/../{ln.split()[1]}" if ln.startswith("factor ")
+             else ln for ln in lines]
+    path.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(materialize(read_separated(path)), want)
+
+
 def test_oversized_factor_keeps_memory_cap_error(tmp_path, monkeypatch):
     path, _ = _manifest_lines(tmp_path)
     monkeypatch.setenv("LSR_MEM_CAP_MB", "0")

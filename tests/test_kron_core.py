@@ -18,7 +18,13 @@ from lsradapt import (
     unvec,
     vec,
 )
-from lsradapt.kron_core import _project, _rearrange
+from lsradapt.kron_core import (
+    _checked,
+    _kron_sum,
+    _project,
+    _rearrange,
+    _side_by_side,
+)
 
 from oracles import naive_kron, naive_rearrange, rel_err
 
@@ -180,6 +186,22 @@ class TestSharedRearrangement:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @SHAPES
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_kron_sum_matches_per_term_loop(self, dims, s, n):
+        m1, c1, m2, c2 = dims
+        g = np.random.default_rng(30 * sum(dims) + 4 * s + n)
+        P = g.normal(size=(s, m1, c1))
+        Q = g.normal(size=(s, m2, c2))
+        Z = g.normal(size=(n, c1, c2))
+        want = np.array([sum(P[k] @ Z[i] @ Q[k].T for k in range(s))
+                         for i in range(n)])
+        Qt = np.ascontiguousarray(Q.transpose(0, 2, 1))
+        got = _kron_sum(_side_by_side(P), Qt, Z)
+        assert got.shape == (n, m1, m2)
+        assert rel_err(got, want) <= 1e-12
+
+    @SHAPES
     def test_apply_kron2_matches_naive_kron(self, dims):
         m1, c1, m2, c2 = dims
         g = np.random.default_rng(20 * sum(dims))
@@ -246,3 +268,38 @@ def test_zero_dim_input_is_refused_by_rank():
     layer = init(np.eye(4), plan_shapes(4, 4, 2), s=1)
     with pytest.raises(ValueError, match=r"x has shape \(\)"):
         forward(layer, 3.0)
+
+
+class TestChecked:
+    """``_checked`` decides finiteness from one sum of squares and runs
+    the exact test only when that sum is not finite."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(6,), (3, 4), (2, 3, 4)])
+    def test_overflowing_sum_of_squares_is_accepted(self, shape):
+        a = np.full(shape, 1e200)
+        assert np.array_equal(_checked(a, "a", len(shape)), a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (3, 3, 3)])
+    def test_non_finite_entry_is_refused(self, shape, where, bad):
+        a = np.ones(shape)
+        at = {"first": 0, "middle": a.size // 2, "last": a.size - 1}[where]
+        a.reshape(-1)[at] = bad
+        with pytest.raises(ValueError, match="a contains non-finite entries"):
+            _checked(a, "a", len(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0, 4)])
+    def test_empty_array_is_accepted(self, shape):
+        assert _checked(np.empty(shape), "a", len(shape)).shape == shape
+
+    def test_zero_dim_array(self):
+        assert _checked(2.5, "a", None) == 2.5
+        assert _checked(1e200, "a", None) == 1e200
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                _checked(bad, "a", None)
+        with pytest.raises(ValueError, match="must be 1-D, got ndim=0"):
+            _checked(2.5, "a", 1)

@@ -6,6 +6,7 @@ hand-worked small cases.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from lsradapt import (
     truncated_svd,
     vec,
 )
-from lsradapt.kron_core import _kron_sum, _rearrange, _side_by_side
+from lsradapt.kron_core import (
+    _dense_kron_sum,
+    _kron_sum,
+    _rearrange,
+    _side_by_side,
+)
 from lsradapt.lsr_repr import NumericalError
 
 from oracles import jacobi_singular_values, naive_kron, rel_err
@@ -65,6 +71,35 @@ class TestMaterialize:
         with pytest.raises(ValueError):
             SeparatedMatrix(Shape(4, 4), [KronTerm(1.0, [np.eye(2),
                                                          np.eye(3)])])
+
+    @pytest.mark.parametrize("shapes", [
+        [(40, 6), (3, 5)], [(5, 4), (70, 2)], [(30, 2), (1, 3), (3, 2)]],
+        ids=["two-blocks", "row-per-block", "three-factors"])
+    def test_blocks_equal_the_unblocked_sum(self, shapes):
+        g = np.random.default_rng(sum(map(sum, shapes)))
+        shape = Shape(*np.prod(shapes, axis=0))
+        S = SeparatedMatrix(shape, [(g.normal(), [g.normal(size=f)
+                                                  for f in shapes])
+                                    for _ in range(5)])
+        P, Q = S._pair
+        assert P.shape[1] * Q.shape[1] > lsradapt.lsr_repr._MATERIALIZE_ROWS
+        assert np.array_equal(materialize(S), _dense_kron_sum(P, Q))
+
+    def test_empty_blocks_equal_the_unblocked_sum(self):
+        S = SeparatedMatrix(Shape(200, 3))
+        assert np.array_equal(materialize(S), _dense_kron_sum(*S._pair))
+
+    def test_peak_memory_stays_near_the_result(self):
+        g = np.random.default_rng(21)
+        S = random_separated(g, Shape(384, 384), 8, (16, 16), (24, 24))
+        S._pair  # formed once per representation, outside the trace
+        tracemalloc.start()
+        try:
+            M = materialize(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * M.nbytes
 
 
 class TestApply:
@@ -111,7 +146,8 @@ class TestApply:
         assert len(calls) == 1
         P, Q = S._pair
         for x, y in zip(xs, got):
-            want = _kron_sum(_side_by_side(P), Q, x.reshape(1, 4, 2))
+            want = _kron_sum(_side_by_side(P), Q.transpose(0, 2, 1),
+                             x.reshape(1, 4, 2))
             assert np.array_equal(y, want.reshape(-1))
 
 

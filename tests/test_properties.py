@@ -198,7 +198,7 @@ def test_kron_sum_matches_loop_oracle(case):
     g, P, Q = seeded_stacks(case)
     n = 1 + case[0] % 3
     Z = g.normal(size=(n, P.shape[2], Q.shape[2]))
-    got = _kron_sum(_side_by_side(P), Q, Z)
+    got = _kron_sum(_side_by_side(P), Q.transpose(0, 2, 1), Z)
     assert got.shape == (n, P.shape[1], Q.shape[1])
     assert rel_err(got.reshape(n, -1),
                    Z.reshape(n, -1) @ dense_oracle(P, Q).T) <= 1e-12
