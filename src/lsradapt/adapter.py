@@ -469,9 +469,11 @@ def lora_backward(layer: LoraLayer, x, g):
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:
-    """Expand the update into s^2 explicit Kronecker terms via the mixed
-    product: A_sum @ B_sum = sum_{k,j} (A1[k] B1[j]) (x) (A2[k] B2[j])."""
+    """Expand the update into s^2 explicit unit-weight Kronecker terms via
+    the mixed product: A_sum @ B_sum = sum_{k,j} (A1[k] B1[j]) (x)
+    (A2[k] B2[j]).  Each side is one batched product, which the
+    representation takes as its factor stack (term k*s + j)."""
     p = layer.plan
     P = (layer.A1[:, None] @ layer.B1).reshape(-1, p.a1, p.b1)
     Q = (layer.A2[:, None] @ layer.B2).reshape(-1, p.a2, p.b2)
-    return SeparatedMatrix(Shape(p.w1, p.w2), [(1.0, pq) for pq in zip(P, Q)])
+    return SeparatedMatrix(Shape(p.w1, p.w2), np.ones(len(P)), (P, Q))

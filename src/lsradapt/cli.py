@@ -46,9 +46,13 @@ def _parse_shape(text: str) -> Shape:
 
 
 def cmd_approx(args) -> int:
-    # a malformed cap or manifest name is a usage error, before any read
+    # a malformed cap, manifest name or epsilon is a usage error, before
+    # any read
     io.mem_cap_bytes()
     io.check_name(args.name)
+    mus = {"mu=2^-11": 2.0**-11, "mu=2^-24": 2.0**-24}
+    budgets = [lsr_repr.PrecisionBudget(mu, args.epsilon)
+               for mu in mus.values()]
     try:
         M = io.read_matrix(args.input)
     except io.MemoryCapError as exc:
@@ -58,9 +62,6 @@ def cmd_approx(args) -> int:
         print(f"error: cannot read {args.input}: {exc}")
         return EXIT_IO
     S = lsr_repr.nearest_kron_sum(M, args.left, args.right, args.terms)
-    mus = {"mu=2^-11": 2.0**-11, "mu=2^-24": 2.0**-24}
-    budgets = [lsr_repr.PrecisionBudget(mu, args.epsilon)
-               for mu in mus.values()]
     approx, gamma, verdicts = lsr_repr.diagnose(S, budgets)
     fro_err = float(np.linalg.norm(np.subtract(M, approx, out=approx)))
     norm = float(np.linalg.norm(M))

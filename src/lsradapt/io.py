@@ -226,20 +226,26 @@ def _read_manifest(manifest_path: Path) -> SeparatedMatrix:
             raise ValueError(f"cannot read factor {rel!r}: "
                              f"{exc.strerror or exc}") from exc
 
-    terms = []
+    weights, terms = [], []
     i = 3
     for k in range(n_terms):
         if expect(i, "term", 1) != [str(k)]:
             raise ValueError(f"expected 'term {k}' on line {i + 1}, got "
                              f"{lines[i]!r}")
-        weight = float(expect(i + 1, "weight", 1)[0])
+        weights.append(float(expect(i + 1, "weight", 1)[0]))
         i += 2
         factors = []
         while i < len(lines) and lines[i].startswith("factor "):
             factors.append(read_factor(lines[i]))
             i += 1
-        terms.append((weight, factors))
+        # stacking by position needs term 0's factor count and shapes:
+        # zip would silently drop an extra factor
+        shapes = [F.shape for F in factors]
+        if terms and shapes != [F.shape for F in terms[0]]:
+            raise ValueError(f"term {k} has factor shapes {shapes}, but "
+                             f"term 0 has {[F.shape for F in terms[0]]}")
+        terms.append(factors)
     if i < len(lines):
         raise ValueError(f"unexpected line {i + 1} after the last term: "
                          f"{lines[i]!r}")
-    return SeparatedMatrix(Shape(rows, cols), terms)
+    return SeparatedMatrix(Shape(rows, cols), weights, tuple(zip(*terms)))

@@ -46,46 +46,45 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class KronTerm:
     """One summand weight * (x)_i factors[i] of a separated representation:
-    a plain record that unpacks like a ``(weight, factors)`` pair."""
+    the record that ``SeparatedMatrix.terms`` yields."""
 
     weight: float
     factors: tuple[Matrix, ...]
-
-    def __iter__(self):
-        return iter((self.weight, self.factors))
 
 
 @dataclass(frozen=True, eq=False)
 class SeparatedMatrix:
     """Target shape plus s Kronecker terms as read-only copies: ``weights``
-    (s,) and per factor position i ``stacks[i]`` (s, rows_i, cols_i).  The
-    constructor, which takes ``KronTerm``s or ``(weight, factors)`` pairs,
-    is the only check: once for the weights and once per factor stack."""
+    (s,) and per factor position i ``stacks[i]`` (s, rows_i, cols_i).
+
+    ``__post_init__`` is the only check.  It runs ``_checked`` once on a
+    C-contiguous float64 copy of the weights and once on a copy of each
+    stack, so a caller's array is never frozen or aliased; every stack
+    must hold s terms, s > 0 needs at least one stack, and the factors must
+    multiply out to ``shape``.  A representation without terms keeps no
+    stacks."""
 
     shape: Shape
-    weights: Vector
-    stacks: tuple[np.ndarray, ...]
+    weights: Vector = ()
+    stacks: tuple[np.ndarray, ...] = ()
 
-    def __init__(self, shape, terms=()):
-        shape = Shape(int(shape[0]), int(shape[1]))
+    def __post_init__(self):
+        shape = Shape(int(self.shape[0]), int(self.shape[1]))
         if shape.rows < 1 or shape.cols < 1:
             raise ValueError(f"shape must be positive, got {shape}")
-        terms = [(w, tuple(fs)) for w, fs in terms]
-        shapes = [list(map(np.shape, fs)) for _, fs in terms]
-        for k, fs in enumerate(shapes):
-            if not fs:
-                raise ValueError("a term needs at least one factor")
-            if fs != shapes[0]:
-                raise ValueError(f"term {k} has factor shapes {fs}, but "
-                                 f"term 0 has {shapes[0]}")
-        weights = _checked([w for w, _ in terms], "weights", 1)
-        stacks = tuple(_checked(F, f"factor {i} stack", 3)
-                       for i, F in enumerate(zip(*(fs for _, fs in terms))))
+        weights = _checked(np.array(self.weights, float), "weights", 1)
+        stacks = tuple(_checked(np.array(F, float), f"factor {i} stack", 3)
+                       for i, F in enumerate(self.stacks))
+        s = len(weights)
+        if any(len(F) != s for F in stacks) or s and not stacks:
+            raise ValueError(f"{s} weights need at least one stack of {s} "
+                             f"terms each, got {[len(F) for F in stacks]}")
         rows = math.prod(F.shape[1] for F in stacks)
         cols = math.prod(F.shape[2] for F in stacks)
         if stacks and (rows, cols) != shape:
             raise ValueError(f"terms materialize to {rows}x{cols}, expected "
                              f"{shape.rows}x{shape.cols}")
+        stacks = stacks if s else ()
         for a in (weights, *stacks):
             a.flags.writeable = False
         self.__dict__.update(shape=shape, weights=weights, stacks=stacks)
@@ -131,10 +130,10 @@ class PrecisionBudget:
     epsilon: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 # rows of its result materialize forms at a time (at least one row of P)
@@ -233,8 +232,8 @@ def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
     stacks = [F / n[:, None, None] for F, n in zip(S.stacks, norms)]
     keep = np.flatnonzero(weights)
     keep = keep[np.argsort(-np.abs(weights[keep]), kind="stable")]
-    return SeparatedMatrix(S.shape, zip(np.abs(weights[keep]),
-                                        zip(*(F[keep] for F in stacks))))
+    return SeparatedMatrix(S.shape, np.abs(weights[keep]),
+                           tuple(F[keep] for F in stacks))
 
 
 def rearrange(M, left: Shape, right: Shape) -> Matrix:
@@ -398,7 +397,7 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     pivot = flat[np.arange(kept), np.argmax(np.abs(flat), axis=1)]
     sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None, None]
     P, Q = sign * P, sign * Q
-    return SeparatedMatrix(M.shape, zip(sigma[:kept], zip(P, Q)))
+    return SeparatedMatrix(M.shape, sigma[:kept], (P, Q))
 
 
 def factor_vector(u, dims) -> tuple[list[Vector], float]:
@@ -470,16 +469,17 @@ def from_rank_decomposition(us, vs, row_factors, col_factors):
     if len(row_factors) < 2:
         raise ValueError("need at least two factor dimensions")
     shape = Shape(math.prod(row_factors), math.prod(col_factors))
-    terms = []
+    factors = []
     errors = []
     for u, v in zip(us, vs):
         u_parts, du = _factor_vector(u, _checked_dims(row_factors, u.size))
         v_parts, dv = _factor_vector(v, _checked_dims(col_factors, v.size))
-        terms.append((1.0, list(map(np.outer, u_parts, v_parts))))
+        factors.append(list(map(np.outer, u_parts, v_parts)))
         # u^ is orthogonal to u - u^ (norm du), v^ to v - v^ (norm dv), so
         # ||u v^T - u^ v^^T||^2 = du^2 ||v||^2 + ||u||^2 dv^2 - du^2 dv^2:
         # small terms, free of the cancellation in ||u v^T||^2 - ||u^ v^^T||^2
         err_sq = (du * du * np.dot(v, v) + np.dot(u, u) * dv * dv
                   - du * du * dv * dv)
         errors.append(math.sqrt(max(err_sq, 0.0)))
-    return SeparatedMatrix(shape, terms), errors
+    return SeparatedMatrix(shape, np.ones(len(factors)),
+                           tuple(zip(*factors))), errors

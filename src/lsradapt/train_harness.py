@@ -176,9 +176,12 @@ def gen_task(w1: int, w2: int, plant, n_samples: int, noise_std: float,
              seed: int) -> SyntheticTask:
     """Seeded task: Gaussian W, the plant's update (``plant.delta``)
     scaled to unit Frobenius norm, Gaussian inputs, targets
-    (W + delta_star) x plus noise."""
+    (W + delta_star) x plus noise.  A negative ``n_samples`` or a
+    negative or non-finite ``noise_std`` is refused before any draw."""
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     W = rng_stream(seed, "task-base").normal(size=(w1, w2))
     delta = plant.delta(w1, w2, rng_stream(seed, "task-plant"))
     norm = np.linalg.norm(delta)

@@ -169,7 +169,7 @@ def check_condition_precision() -> CheckResult:
     F1 = g.normal(size=(3, 3))
     F2 = g.normal(size=(4, 4))
     S = lsr_repr.normalize_terms(lsr_repr.SeparatedMatrix(
-        Shape(12, 12), [lsr_repr.KronTerm(2.5, [F1, F2])]))
+        Shape(12, 12), [2.5], ([F1], [F2])))
     gamma = lsr_repr.condition_number(S)
     if abs(gamma - 1.0) > 1e-12:
         return CheckResult("condition-precision", False,

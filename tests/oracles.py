@@ -29,6 +29,14 @@ def naive_kron(U, V):
     return out
 
 
+def stacked(terms):
+    """Per-term ``(weight, factors)`` literals as the ``(weights, stacks)``
+    a separated representation takes: one stack per factor position."""
+    terms = list(terms)
+    return ([w for w, _ in terms],
+            tuple(map(np.array, zip(*(fs for _, fs in terms)))))
+
+
 def naive_rearrange(D, m1, c1, m2, c2):
     """Van Loan-Pitsianis rearrangement by explicit loops: entry
     [(i, j), (a, b)] of the (m1*c1) x (m2*c2) result is D[(i, a), (j, b)],

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from lsradapt import (
-    KronTerm,
     LoraLayer,
     LsrAdaptLayer,
     LsrProductPlant,
@@ -40,7 +39,7 @@ from lsradapt import (
 )
 from lsradapt.cli import main
 
-from oracles import central_diff, jacobi_singular_values, rel_err
+from oracles import central_diff, jacobi_singular_values, rel_err, stacked
 
 MU_16BIT = 2.0**-11
 
@@ -154,8 +153,8 @@ def test_criterion_04_optimal_approximation():
 
 def test_criterion_05_condition_number():
     g = np.random.default_rng(500)
-    S = normalize_terms(SeparatedMatrix(Shape(12, 12), [KronTerm(
-        3.7, [g.normal(size=(3, 3)), g.normal(size=(4, 4))])]))
+    S = normalize_terms(SeparatedMatrix(Shape(12, 12), *stacked([(
+        3.7, [g.normal(size=(3, 3)), g.normal(size=(4, 4))])])))
     gamma = condition_number(S)
     fro = np.linalg.norm(materialize(S))
     boundary = gamma * MU_16BIT * fro

@@ -152,6 +152,19 @@ class TestApprox:
         assert "printable ASCII" in out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epsilon", ["nan", "0", "-1", "inf"])
+    def test_epsilon_is_checked_before_the_input_is_read(
+            self, tmp_path, capsys, monkeypatch, epsilon):
+        def unreadable(path):
+            raise AssertionError(f"read {path} before checking epsilon")
+        monkeypatch.setattr(lsradapt.io, "read_matrix", unreadable)
+        code, out = run(capsys, "approx", str(tmp_path / "nope.txt"),
+                        "--left", "2x2", "--right", "2x2", "--terms", "1",
+                        "--out", str(tmp_path / "dec"), f"--epsilon={epsilon}")
+        assert code == 2
+        assert "epsilon must be positive and finite" in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconforming_shapes_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         write_matrix_text(src, np.eye(6))
@@ -172,8 +185,8 @@ class TestApprox:
             self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "m.txt"
         write_matrix_text(src, np.eye(4))
-        huge = lsradapt.lsr_repr.SeparatedMatrix((4, 4), [
-            lsradapt.lsr_repr.KronTerm(1e200, [1e100 * np.eye(2)] * 2)])
+        huge = lsradapt.lsr_repr.SeparatedMatrix(
+            (4, 4), [1e200], ([1e100 * np.eye(2)],) * 2)
         monkeypatch.setattr(lsradapt.lsr_repr, "nearest_kron_sum",
                             lambda *args: huge)
         code, out = run(capsys, "approx", str(src), "--left", "2x2",
@@ -347,6 +360,16 @@ class TestTrain:
                         "--out", str(tmp_path / "run"))
         assert code == 2
         assert field in out
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("noise_std", ["-1", "nan", "inf"])
+    def test_invalid_noise_is_usage_error(self, tmp_path, capsys, noise_std):
+        code, out = run(capsys, "train", "--w1", "8", "--w2", "8", "--r", "2",
+                        "--s", "2", "--steps", "3",
+                        f"--noise-std={noise_std}",
+                        "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"noise_std must be finite and >= 0, got {noise_std}" in out
         assert not list(tmp_path.iterdir())
 
     def test_bad_plant_flags(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lsradapt import KronTerm, SeparatedMatrix, Shape, materialize
+from lsradapt import SeparatedMatrix, Shape, materialize
 from lsradapt.io import (
     MAGIC,
     MemoryCapError,
@@ -15,6 +15,8 @@ from lsradapt.io import (
     write_matrix_text,
     write_separated,
 )
+
+from oracles import stacked
 
 
 def tricky_matrix():
@@ -162,10 +164,10 @@ def test_memory_cap_checked_before_allocating(tmp_path, monkeypatch, writer):
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         g = np.random.default_rng(91)
-        S = SeparatedMatrix(Shape(6, 6), [
-            KronTerm(float(g.normal()),
-                     [g.normal(size=(2, 3)), g.normal(size=(3, 2))])
-            for _ in range(3)])
+        S = SeparatedMatrix(Shape(6, 6), *stacked(
+            [(float(g.normal()), [g.normal(size=(2, 3)),
+                                  g.normal(size=(3, 2))])
+             for _ in range(3)]))
         manifest = write_separated(S, tmp_path / "out", name="probe")
         back = read_separated(manifest)
         assert back.shape == S.shape
@@ -186,14 +188,16 @@ class TestManifest:
                                       "trail ", "two\nlines", "cr\r",
                                       "caf\u00e9", "nul\x00"])
     def test_name_the_reader_refuses_is_refused_first(self, tmp_path, name):
-        S = SeparatedMatrix(Shape(4, 4), [(1.0, [np.eye(2), np.eye(2)])])
+        S = SeparatedMatrix(Shape(4, 4),
+                            *stacked([(1.0, [np.eye(2), np.eye(2)])]))
         with pytest.raises(ValueError, match="printable ASCII"):
             write_separated(S, tmp_path / "out", name=name)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["probe", "a b", "..", "x.y-z_1", ""])
     def test_accepted_name_reads_back(self, tmp_path, name):
-        S = SeparatedMatrix(Shape(4, 4), [(2.0, [np.eye(2), np.ones((2, 2))])])
+        S = SeparatedMatrix(Shape(4, 4),
+                            *stacked([(2.0, [np.eye(2), np.ones((2, 2))])]))
         back = read_separated(write_separated(S, tmp_path, name=name))
         assert np.array_equal(materialize(back), materialize(S))
         assert sorted(p.parent for p in tmp_path.iterdir()) == [tmp_path] * 3
@@ -207,10 +211,9 @@ class TestManifest:
 
 def _manifest_lines(tmp_path):
     g = np.random.default_rng(92)
-    S = SeparatedMatrix(Shape(6, 6), [
-        KronTerm(float(g.normal()),
-                 [g.normal(size=(2, 3)), g.normal(size=(3, 2))])
-        for _ in range(2)])
+    S = SeparatedMatrix(Shape(6, 6), *stacked(
+        [(float(g.normal()), [g.normal(size=(2, 3)), g.normal(size=(3, 2))])
+         for _ in range(2)]))
     path = write_separated(S, tmp_path, name="probe")
     return path, path.read_text().splitlines()
 
@@ -260,6 +263,33 @@ def test_truncated_manifest_is_value_error(tmp_path, edit):
     path, lines = _manifest_lines(tmp_path)
     path.write_text("\n".join(edit(lines)) + "\n")
     with pytest.raises(ValueError) as info:
+        read_separated(path)
+    assert str(path) in str(info.value)
+
+
+def _term_1_factors(*shapes):
+    """Term 1's factors replaced by all-ones factor files of the shapes."""
+    def edit(path, lines):
+        i = lines.index("term 1") + 2
+        new = []
+        for j, shape in enumerate(shapes):
+            rel = f"new_f{j}.lsrb"
+            write_matrix_binary(path.parent / rel, np.ones(shape))
+            new.append(f"factor {rel}")
+        return lines[:i] + new
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda path, lines: _swap_last_factors(lines),
+    _term_1_factors((6, 1), (1, 6)), _term_1_factors((6, 6)),
+    lambda path, lines: lines + [lines[-1]],
+], ids=["factors-swapped", "mixed-shapes", "mixed-counts", "extra-factor"])
+def test_term_unlike_term_0_is_refused_by_index(tmp_path, edit):
+    # read by position, an extra factor would be dropped without a word
+    path, lines = _manifest_lines(tmp_path)
+    path.write_text("\n".join(edit(path, lines)) + "\n")
+    with pytest.raises(ValueError, match="term 1 has factor shapes") as info:
         read_separated(path)
     assert str(path) in str(info.value)
 

@@ -6,6 +6,7 @@ hand-worked small cases.
 """
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from lsradapt import (
     truncated_svd,
     vec,
 )
+from lsradapt.io import VERSION, read_separated, write_matrix_binary
 from lsradapt.kron_core import (
     _dense_kron_sum,
     _kron_sum,
@@ -39,22 +41,21 @@ from lsradapt.kron_core import (
 )
 from lsradapt.lsr_repr import NumericalError
 
-from oracles import jacobi_singular_values, naive_kron, rel_err
+from oracles import jacobi_singular_values, naive_kron, rel_err, stacked
 
 MU_16BIT = 2.0**-11
 
 
 def random_separated(g, shape, s, left, right):
-    terms = [KronTerm(float(g.normal()),
-                      [g.normal(size=left), g.normal(size=right)])
+    terms = [(float(g.normal()), [g.normal(size=left), g.normal(size=right)])
              for _ in range(s)]
-    return SeparatedMatrix(shape, terms)
+    return SeparatedMatrix(shape, *stacked(terms))
 
 
 class TestMaterialize:
     def test_identity_single_term(self):
         S = SeparatedMatrix(Shape(4, 4),
-                            [KronTerm(1.0, [np.eye(2), np.eye(2)])])
+                            *stacked([(1.0, [np.eye(2), np.eye(2)])]))
         assert np.array_equal(materialize(S), np.eye(4))
 
     def test_empty_terms_is_zero(self):
@@ -69,8 +70,8 @@ class TestMaterialize:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SeparatedMatrix(Shape(4, 4), [KronTerm(1.0, [np.eye(2),
-                                                         np.eye(3)])])
+            SeparatedMatrix(Shape(4, 4),
+                            *stacked([(1.0, [np.eye(2), np.eye(3)])]))
 
     @pytest.mark.parametrize("shapes", [
         [(40, 6), (3, 5)], [(5, 4), (70, 2)], [(30, 2), (1, 3), (3, 2)]],
@@ -78,9 +79,9 @@ class TestMaterialize:
     def test_blocks_equal_the_unblocked_sum(self, shapes):
         g = np.random.default_rng(sum(map(sum, shapes)))
         shape = Shape(*np.prod(shapes, axis=0))
-        S = SeparatedMatrix(shape, [(g.normal(), [g.normal(size=f)
-                                                  for f in shapes])
-                                    for _ in range(5)])
+        S = SeparatedMatrix(shape, *stacked(
+            [(g.normal(), [g.normal(size=f) for f in shapes])
+             for _ in range(5)]))
         P, Q = S._pair
         assert P.shape[1] * Q.shape[1] > lsradapt.lsr_repr._MATERIALIZE_ROWS
         assert np.array_equal(materialize(S), _dense_kron_sum(P, Q))
@@ -105,7 +106,7 @@ class TestMaterialize:
 class TestApply:
     def test_identity(self):
         S = SeparatedMatrix(Shape(4, 4),
-                            [KronTerm(1.0, [np.eye(2), np.eye(2)])])
+                            *stacked([(1.0, [np.eye(2), np.eye(2)])]))
         x = np.arange(4.0)
         assert np.array_equal(apply(S, x), x)
 
@@ -117,21 +118,21 @@ class TestApply:
 
     def test_zero_weights(self):
         g = np.random.default_rng(22)
-        terms = [KronTerm(0.0, [g.normal(size=(2, 2)), g.normal(size=(2, 2))])
+        terms = [(0.0, [g.normal(size=(2, 2)), g.normal(size=(2, 2))])
                  for _ in range(3)]
-        S = SeparatedMatrix(Shape(4, 4), terms)
+        S = SeparatedMatrix(Shape(4, 4), *stacked(terms))
         assert np.array_equal(apply(S, np.ones(4)), np.zeros(4))
 
     def test_three_factor_fallback(self):
         g = np.random.default_rng(23)
-        S = SeparatedMatrix(Shape(8, 8), [KronTerm(
-            1.5, [g.normal(size=(2, 2)) for _ in range(3)])])
+        S = SeparatedMatrix(Shape(8, 8), *stacked([(
+            1.5, [g.normal(size=(2, 2)) for _ in range(3)])]))
         x = g.normal(size=8)
         assert rel_err(apply(S, x), materialize(S) @ x) <= 1e-12
 
     def test_length_mismatch(self):
         S = SeparatedMatrix(Shape(4, 4),
-                            [KronTerm(1.0, [np.eye(2), np.eye(2)])])
+                            *stacked([(1.0, [np.eye(2), np.eye(2)])]))
         with pytest.raises(ValueError):
             apply(S, np.ones(5))
 
@@ -167,13 +168,13 @@ class TestStackedKronSum:
                              ids=FACTOR_SHAPES.keys())
     def test_matches_per_term_oracle(self, shapes, s):
         g = np.random.default_rng(60 + s)
-        terms = [KronTerm(float(g.normal()), [g.normal(size=f) for f in shapes])
+        terms = [(float(g.normal()), [g.normal(size=f) for f in shapes])
                  for _ in range(s)]
         rows = int(np.prod([r for r, _ in shapes]))
         cols = int(np.prod([c for _, c in shapes]))
-        S = SeparatedMatrix(Shape(rows, cols), terms)
-        want = sum((t.weight * functools.reduce(naive_kron, t.factors)
-                    for t in terms), np.zeros((rows, cols)))
+        S = SeparatedMatrix(Shape(rows, cols), *stacked(terms))
+        want = sum((w * functools.reduce(naive_kron, fs) for w, fs in terms),
+                   np.zeros((rows, cols)))
         x = g.normal(size=cols)
         assert materialize(S).shape == (rows, cols)
         assert rel_err(materialize(S), want) <= 1e-12
@@ -182,9 +183,9 @@ class TestStackedKronSum:
 
     def test_three_factor_apply_never_materializes(self, monkeypatch):
         g = np.random.default_rng(66)
-        S = SeparatedMatrix(Shape(12, 12), [KronTerm(
+        S = SeparatedMatrix(Shape(12, 12), *stacked([(
             float(g.normal()), [g.normal(size=(2, 3)), g.normal(size=(3, 2)),
-                                g.normal(size=(2, 2))]) for _ in range(4)])
+                                g.normal(size=(2, 2))]) for _ in range(4)]))
         want = materialize(S) @ np.ones(12)
         calls = []
         original = lsradapt.lsr_repr.materialize
@@ -193,12 +194,23 @@ class TestStackedKronSum:
         assert rel_err(apply(S, np.ones(12)), want) <= 1e-10
         assert calls == []
 
-    def test_mixed_factor_shapes_name_the_term(self):
+    def test_mixed_factor_shapes_name_the_term(self, tmp_path):
+        # terms of different factor shapes cannot share stacks; per-term
+        # factor lists come in only through a manifest, whose reader
+        # refuses them by term index
         g = np.random.default_rng(67)
+        terms = [[g.normal(size=(2, 3)), g.normal(size=(3, 2))],
+                 [g.normal(size=(3, 2)), g.normal(size=(2, 3))]]
+        lines = [f"lsr-manifest {VERSION}", "shape 6 6", "terms 2"]
+        for k, factors in enumerate(terms):
+            lines += [f"term {k}", "weight 1.0"]
+            for i, F in enumerate(factors):
+                write_matrix_binary(tmp_path / f"t{k}_f{i}.lsrb", F)
+                lines.append(f"factor t{k}_f{i}.lsrb")
+        manifest = tmp_path / "mixed.manifest"
+        manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="term 1"):
-            SeparatedMatrix(Shape(6, 6), [
-                KronTerm(1.0, [g.normal(size=(2, 3)), g.normal(size=(3, 2))]),
-                KronTerm(1.0, [g.normal(size=(3, 2)), g.normal(size=(2, 3))])])
+            read_separated(manifest)
 
 
 def _count_checks(monkeypatch):
@@ -212,75 +224,95 @@ def _count_checks(monkeypatch):
 
 
 EYE2 = np.eye(2)
+# per-term literals no representation may hold, handed over as a caller
+# holding (weight, factors) pairs or KronTerm records would: gathered by
+# factor position and stacked by the constructor.  A term short of a
+# factor leaves a hole in its position rather than shortening it.
 REFUSED_TERMS = {
     "nan-weight": ([(np.nan, [EYE2, EYE2])], "non-finite"),
     "inf-weight": ([(-np.inf, [EYE2, EYE2])], "non-finite"),
     "nan-factor": ([(1.0, [EYE2, np.full((2, 2), np.nan)])], "non-finite"),
     "inf-factor": ([(1.0, [np.full((2, 2), np.inf), EYE2])], "non-finite"),
-    "no-factors": ([(1.0, [EYE2, EYE2]), (1.0, [])],
-                   "a term needs at least one factor"),
+    "no-factors": ([(1.0, [EYE2, EYE2]), (1.0, [])], None),
     "zero-size-factor": ([(1.0, [np.zeros((0, 2)), EYE2])],
                          "materialize to 0x4"),
     "mixed-shapes": ([(1.0, [EYE2, EYE2]),
-                      (1.0, [np.ones((1, 4)), np.ones((4, 1))])],
-                     "term 1 has factor shapes"),
-    "mixed-counts": ([(1.0, [EYE2, EYE2]), (1.0, [np.eye(4)])],
-                     "term 1 has factor shapes"),
+                      (1.0, [np.ones((1, 4)), np.ones((4, 1))])], None),
+    "mixed-counts": ([(1.0, [EYE2, EYE2]), (1.0, [np.eye(4)])], None),
     "wrong-shape": ([(1.0, [EYE2, np.eye(3)])], "materialize to"),
+}
+# weights and stacks that do not fit together, or a shape that no
+# terms can have
+REFUSED_STACKS = {
+    "weights-without-stacks": ((4, 4), [1.0], (), "at least one stack"),
+    "fewer-terms-than-weights": ((4, 4), [1.0, 2.0], ([EYE2], [EYE2]),
+                                 "of 2 terms each, got \\[1, 1\\]"),
+    "more-terms-than-weights": ((4, 4), [1.0], ([EYE2, EYE2], [EYE2]),
+                                "of 1 terms each, got \\[2, 1\\]"),
+    "2-D-stack": ((4, 4), [1.0], (EYE2, [EYE2]),
+                  "factor 0 stack must be 3-D"),
+    "zero-shape": ((0, 4), (), (), "shape must be positive"),
+    "negative-shape": ((4, -1), [1.0], ([EYE2], [EYE2]),
+                       "shape must be positive"),
+    "pairs-as-weights": ((4, 4), [(1.0, [EYE2, EYE2])], (), None),
 }
 
 
+def _by_position(terms, records):
+    """``(weights, stacks)`` of per-term literals, one list of the terms'
+    factors per position, the stacking left to the constructor."""
+    if records:
+        terms = [(t.weight, t.factors)
+                 for t in (KronTerm(w, tuple(fs)) for w, fs in terms)]
+    return ([w for w, _ in terms],
+            tuple(map(list, itertools.zip_longest(*(fs for _, fs in terms)))))
+
+
+REFUSALS = [pytest.param(Shape(4, 4), *_by_position(terms, form == "records"),
+                         match, id=f"{case}-{form}")
+            for case, (terms, match) in REFUSED_TERMS.items()
+            for form in ("pairs", "records")]
+REFUSALS += [pytest.param(*case, id=name)
+             for name, case in REFUSED_STACKS.items()]
+
+
 class TestConstructorBoundary:
-    @pytest.mark.parametrize("record", [False, True],
-                             ids=["pairs", "records"])
-    @pytest.mark.parametrize("terms, match", REFUSED_TERMS.values(),
-                             ids=REFUSED_TERMS.keys())
-    def test_refusals(self, terms, match, record):
-        if record:
-            terms = [KronTerm(w, fs) for w, fs in terms]
+    @pytest.mark.parametrize("shape, weights, stacks, match", REFUSALS)
+    def test_refusals(self, shape, weights, stacks, match):
         with pytest.raises(ValueError, match=match):
-            SeparatedMatrix(Shape(4, 4), terms)
+            SeparatedMatrix(shape, weights, stacks)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_one_check_per_factor_position(self, monkeypatch, order):
         g = np.random.default_rng(69)
-        terms = [(float(g.normal()), [g.normal(size=(2, 2))] * order)
-                 for _ in range(5)]
+        weights = g.normal(size=5)
+        stacks = (g.normal(size=(5, 2, 2)),) * order
         checks = _count_checks(monkeypatch)
-        SeparatedMatrix(Shape(2**order, 2**order), terms)
+        SeparatedMatrix(Shape(2**order, 2**order), weights, stacks)
         assert checks == ["weights"] + [f"factor {i} stack"
                                         for i in range(order)]
 
-    def test_pairs_and_records_build_the_same_representation(self):
+    def test_callers_arrays_stay_writeable_and_unshared(self):
         g = np.random.default_rng(70)
-        pairs = [(float(g.normal()), [g.normal(size=(2, 3)),
-                                      g.normal(size=(3, 2))])
-                 for _ in range(3)]
-        a = SeparatedMatrix(Shape(6, 6), pairs)
-        b = SeparatedMatrix(Shape(6, 6), [KronTerm(*p) for p in pairs])
-        assert a.weights.tobytes() == b.weights.tobytes()
-        for F, G in zip(a.stacks, b.stacks, strict=True):
-            assert F.tobytes() == G.tobytes()
-
-    def test_record_is_plain(self):
-        factors = [np.array([[np.nan]])]
-        term = KronTerm(1.0, factors)
-        assert term.factors is factors
-        assert tuple(term) == (1.0, factors)
-        assert term != KronTerm(1.0, factors)
+        weights = g.normal(size=3)
+        stacks = (g.normal(size=(3, 2, 3)), g.normal(size=(3, 3, 2)))
+        S = SeparatedMatrix(Shape(6, 6), weights, stacks)
+        for mine, stored in zip((weights, *stacks), (S.weights, *S.stacks),
+                                strict=True):
+            assert mine.flags.c_contiguous and mine.flags.writeable
+            assert not np.shares_memory(mine, stored)
+            assert mine.tobytes() == stored.tobytes()
 
 
 class TestStoredLayout:
     def _two_term(self):
         g = np.random.default_rng(68)
-        factors = [[g.normal(size=(2, 3)), g.normal(size=(3, 2))]
-                   for _ in range(2)]
-        return factors, SeparatedMatrix(
-            Shape(6, 6), [KronTerm(w, fs) for w, fs in zip([1.5, -0.5],
-                                                           factors)])
+        weights = np.array([1.5, -0.5])
+        stacks = (g.normal(size=(2, 2, 3)), g.normal(size=(2, 3, 2)))
+        return weights, stacks, SeparatedMatrix(Shape(6, 6), weights, stacks)
 
     def test_weights_and_stacks_are_read_only_copies(self):
-        _, S = self._two_term()
+        *_, S = self._two_term()
         assert np.array_equal(S.weights, [1.5, -0.5])
         assert [F.shape for F in S.stacks] == [(2, 2, 3), (2, 3, 2)]
         for a in (S.weights, *S.stacks):
@@ -288,51 +320,59 @@ class TestStoredLayout:
                 a[0] = 0.0
 
     def test_caller_writes_do_not_reach_the_representation(self):
-        factors, S = self._two_term()
+        weights, stacks, S = self._two_term()
         before = materialize(S)
-        factors[0][0][...] = 0.0
-        factors[1][1][...] = 7.0
+        weights[1] = 3.0
+        stacks[0][0] = 0.0
+        stacks[1][1] = 7.0
         assert np.array_equal(materialize(S), before)
 
     def test_terms_are_views_of_the_stacks(self):
-        factors, S = self._two_term()
+        weights, stacks, S = self._two_term()
         assert S.separation_rank == len(S.terms) == 2
         for k, t in enumerate(S.terms):
-            assert t.weight == S.weights[k]
+            assert t.weight == weights[k]
             for i, f in enumerate(t.factors):
                 assert np.shares_memory(f, S.stacks[i][k])
-                assert np.array_equal(f, factors[k][i])
+                assert np.array_equal(f, stacks[i][k])
                 assert not f.flags.writeable
 
     def test_terms_view_does_not_check_again(self, monkeypatch):
-        _, S = self._two_term()
+        *_, S = self._two_term()
         checks = _count_checks(monkeypatch)
         assert len(S.terms) == 2
         assert checks == []
-        # a term built from outside is checked where a representation
-        # takes it in
-        term = KronTerm(1.0, [np.array([[np.nan]])])
+        # stacks from outside are checked where a representation takes
+        # them in
         with pytest.raises(ValueError, match="non-finite"):
-            SeparatedMatrix(Shape(1, 1), [term])
+            SeparatedMatrix(Shape(1, 1), [1.0], ([[[np.nan]]],))
         assert checks == ["weights", "factor 0 stack"]
 
     def test_empty_has_no_stacks(self):
         S = SeparatedMatrix(Shape(3, 5))
         assert S.weights.shape == (0,) and S.stacks == () and S.terms == ()
 
+    def test_stacks_without_terms_are_not_kept(self):
+        # as a manifest with no terms reads back: no factor positions
+        S = SeparatedMatrix(Shape(6, 6), [],
+                            (np.zeros((0, 2, 3)), np.zeros((0, 3, 2))))
+        assert S.stacks == () and S.terms == ()
+        Z = nearest_kron_sum(np.zeros((6, 6)), Shape(2, 3), Shape(3, 2), 1)
+        assert Z.separation_rank == 0 and Z.stacks == ()
+
 
 class TestConditionNumber:
     def test_single_unit_norm_term(self):
         g = np.random.default_rng(24)
-        S = normalize_terms(SeparatedMatrix(Shape(6, 6), [KronTerm(
-            7.5, [g.normal(size=(2, 2)), g.normal(size=(3, 3))])]))
+        S = normalize_terms(SeparatedMatrix(Shape(6, 6), *stacked([(
+            7.5, [g.normal(size=(2, 2)), g.normal(size=(3, 3))])])))
         assert abs(condition_number(S) - 1.0) <= 1e-12
 
     def test_cancellation_is_error(self):
         g = np.random.default_rng(25)
         F1, F2 = g.normal(size=(2, 2)), g.normal(size=(2, 2))
-        S = SeparatedMatrix(Shape(4, 4), [KronTerm(2.0, [F1, F2]),
-                                          KronTerm(-2.0, [F1, F2])])
+        S = SeparatedMatrix(Shape(4, 4),
+                            *stacked([(2.0, [F1, F2]), (-2.0, [F1, F2])]))
         with pytest.raises(ZeroDivisionError):
             condition_number(S)
 
@@ -342,15 +382,15 @@ class TestConditionNumber:
         g = np.random.default_rng(29)
         factors = [g.normal(size=(2, 2)) for _ in range(order)]
         S = SeparatedMatrix(Shape(2**order, 2**order),
-                            [KronTerm(0.3, factors), KronTerm(-0.3, factors)])
+                            *stacked([(0.3, factors), (-0.3, factors)]))
         with pytest.raises(ZeroDivisionError):
             condition_number(S)
 
     def test_near_cancellation_keeps_gamma(self):
         g = np.random.default_rng(30)
         F1, F2 = g.normal(size=(2, 3)), g.normal(size=(3, 2))
-        S = SeparatedMatrix(Shape(6, 6), [KronTerm(1.0, [F1, F2]),
-                                          KronTerm(-(1.0 - 1e-8), [F1, F2])])
+        S = SeparatedMatrix(Shape(6, 6), *stacked(
+            [(1.0, [F1, F2]), (-(1.0 - 1e-8), [F1, F2])]))
         dense = sum(t.weight * naive_kron(*t.factors) for t in S.terms)
         want = np.sqrt(sum(t.weight**2 for t in S.terms)) / np.linalg.norm(dense)
         # each side carries ~eps / 1e-8 ~ 2e-8 relative error from the
@@ -368,8 +408,8 @@ class TestConditionNumber:
 class TestCheckPrecision:
     def _unit_term(self):
         g = np.random.default_rng(27)
-        return normalize_terms(SeparatedMatrix(Shape(4, 4), [KronTerm(
-            1.0, [g.normal(size=(2, 2)), g.normal(size=(2, 2))])]))
+        return normalize_terms(SeparatedMatrix(Shape(4, 4), *stacked([(
+            1.0, [g.normal(size=(2, 2)), g.normal(size=(2, 2))])])))
 
     def test_16bit_roundoff_passes_loose_budget(self):
         # gamma = 1, ||M||_F = 1, so the bound is mu = 2^-11 ~ 4.88e-4 <= 1
@@ -385,6 +425,16 @@ class TestCheckPrecision:
         fro = np.linalg.norm(materialize(S))
         eps = condition_number(S) * MU_16BIT * fro
         assert check_precision(S, PrecisionBudget(MU_16BIT, eps)) is True
+
+
+class TestPrecisionBudget:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["mu", "epsilon"])
+    def test_non_positive_or_non_finite_refused(self, field, bad):
+        values = {"mu": MU_16BIT, "epsilon": 1.0, field: bad}
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite"):
+            PrecisionBudget(**values)
 
 
 class TestDiagnose:
@@ -419,8 +469,8 @@ class TestDiagnose:
     def test_overflow_is_numerical_error(self, scale, what):
         # 1e200 * (1e100)^2 overflows the materialization; 1e200 alone
         # overflows the squared weight norm; no RuntimeWarning escapes
-        S = SeparatedMatrix(Shape(4, 4), [KronTerm(
-            1e200, [scale * np.eye(2), scale * np.eye(2)])])
+        S = SeparatedMatrix(Shape(4, 4), *stacked([(
+            1e200, [scale * np.eye(2), scale * np.eye(2)])]))
         for call in (lambda: diagnose(S, [PrecisionBudget(1e-3, 1.0)]),
                      lambda: condition_number(S)):
             with pytest.raises(NumericalError, match=f"overflows.*{what}"):
@@ -429,8 +479,8 @@ class TestDiagnose:
 
 class TestNormalizeTerms:
     def test_folds_magnitudes_into_weight(self):
-        S = SeparatedMatrix(Shape(4, 4), [KronTerm(
-            1.0, [2.0 * np.eye(2), 3.0 * np.eye(2)])])
+        S = SeparatedMatrix(Shape(4, 4), *stacked([(
+            1.0, [2.0 * np.eye(2), 3.0 * np.eye(2)])]))
         N = normalize_terms(S)
         # ||2 I2||_F * ||3 I2||_F = 2 sqrt(2) * 3 sqrt(2) = 12
         assert abs(N.terms[0].weight - 12.0) <= 1e-12
@@ -454,7 +504,7 @@ class TestNormalizeTerms:
         F2 = g.normal(size=(2, 2))
         F2 /= np.linalg.norm(F2)
         N = normalize_terms(SeparatedMatrix(Shape(4, 4),
-                                            [KronTerm(-5.0, [F1, F2])]))
+                                            *stacked([(-5.0, [F1, F2])])))
         assert abs(N.terms[0].weight - 5.0) <= 1e-12
         assert np.max(np.abs(N.terms[0].factors[0] + F1)) <= 1e-12
         assert np.max(np.abs(N.terms[0].factors[1] - F2)) <= 1e-12
@@ -467,15 +517,15 @@ class TestNormalizeTerms:
         assert all(w > 0 for w in weights)
 
     def test_weight_overflow_names_term(self):
-        S = SeparatedMatrix(Shape(4, 4), [KronTerm(
-            1e200, [1e100 * np.eye(2), 1e100 * np.eye(2)])])
+        S = SeparatedMatrix(Shape(4, 4), *stacked([(
+            1e200, [1e100 * np.eye(2), 1e100 * np.eye(2)])]))
         with pytest.raises(ValueError, match="term 0 weight overflows"):
             normalize_terms(S)
 
     def test_zero_factor_names_term(self):
-        S = SeparatedMatrix(Shape(4, 4), [
-            KronTerm(1.0, [np.eye(2), np.eye(2)]),
-            KronTerm(1.0, [np.zeros((2, 2)), np.eye(2)])])
+        S = SeparatedMatrix(Shape(4, 4), *stacked([
+            (1.0, [np.eye(2), np.eye(2)]),
+            (1.0, [np.zeros((2, 2)), np.eye(2)])]))
         with pytest.raises(ValueError, match="term 1"):
             normalize_terms(S)
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lsradapt import KronTerm, SeparatedMatrix, Shape, apply, materialize
+from lsradapt import SeparatedMatrix, Shape, apply, materialize
 from lsradapt.io import (
     read_matrix,
     read_separated,
@@ -29,7 +29,7 @@ from lsradapt.kron_core import (
     _side_by_side,
 )
 
-from oracles import naive_kron, naive_kron_sum_grads, rel_err
+from oracles import naive_kron, naive_kron_sum_grads, rel_err, stacked
 
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None,
                     database=None)
@@ -48,11 +48,11 @@ def matrices(draw, max_dim=6):
 def separated(draw):
     """A SeparatedMatrix of 0-3 terms with drawn two-factor shapes."""
     (m1, c1), (m2, c2) = draw(st.tuples(DIM, DIM)), draw(st.tuples(DIM, DIM))
-    terms = [KronTerm(draw(FINITE),
-                      [draw(arrays(np.float64, (m1, c1), elements=FINITE)),
-                       draw(arrays(np.float64, (m2, c2), elements=FINITE))])
+    terms = [(draw(FINITE),
+              [draw(arrays(np.float64, (m1, c1), elements=FINITE)),
+               draw(arrays(np.float64, (m2, c2), elements=FINITE))])
              for _ in range(draw(st.integers(0, 3)))]
-    return SeparatedMatrix(Shape(m1 * m2, c1 * c2), terms)
+    return SeparatedMatrix(Shape(m1 * m2, c1 * c2), *stacked(terms))
 
 
 # a seeded corruption: ("cut", keep fraction) or ("flip", position
@@ -101,23 +101,33 @@ def test_separated_roundtrip_bit_exact(S):
 def mantissas(S):
     """S with every weight and entry replaced by its binary mantissa: the
     drawn signs and zeros, in [0.5, 1) magnitude, so no product overflows."""
-    return SeparatedMatrix(S.shape, [
-        KronTerm(np.frexp(t.weight)[0], [np.frexp(f)[0] for f in t.factors])
-        for t in S.terms])
+    return SeparatedMatrix(S.shape, np.frexp(S.weights)[0],
+                           tuple(np.frexp(F)[0] for F in S.stacks))
+
+
+@PROPERTY
+@given(S=separated())
+def test_stored_layout_rebuilds_the_representation(S):
+    rebuilt = SeparatedMatrix(S.shape, S.weights, S.stacks)
+    assert rebuilt.shape == S.shape
+    assert same_bits(rebuilt.weights, S.weights)
+    assert len(rebuilt.stacks) == len(S.stacks)
+    assert all(map(same_bits, rebuilt.stacks, S.stacks))
 
 
 @PROPERTY
 @given(S=separated(), seed=st.integers(0, 2**32 - 1))
 def test_terms_view_rebuilds_the_stacks(S, seed):
-    rebuilt = SeparatedMatrix(S.shape, S.terms)
+    rebuilt = SeparatedMatrix(
+        S.shape, *stacked((t.weight, t.factors) for t in S.terms))
     assert same_bits(rebuilt.weights, S.weights)
     assert len(rebuilt.stacks) == len(S.stacks)
     assert all(map(same_bits, rebuilt.stacks, S.stacks))
     # apply and materialize sum the same products in different orders;
     # both are within a few eps of the sum of their magnitudes
     M = mantissas(rebuilt)
-    magnitude = SeparatedMatrix(M.shape, [
-        KronTerm(abs(t.weight), map(np.abs, t.factors)) for t in M.terms])
+    magnitude = SeparatedMatrix(M.shape, np.abs(M.weights),
+                                tuple(map(np.abs, M.stacks)))
     x = np.random.default_rng(seed).normal(size=S.shape.cols)
     scale = np.linalg.norm(materialize(magnitude) @ np.abs(x))
     assert (np.linalg.norm(apply(M, x) - materialize(M) @ x)

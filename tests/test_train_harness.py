@@ -85,6 +85,15 @@ class TestGenTask:
         assert not np.array_equal(clean.targets, noisy.targets)
         assert np.array_equal(clean.inputs, noisy.inputs)
 
+    @pytest.mark.parametrize("noise_std", [-1.0, np.nan, np.inf, -np.inf])
+    def test_invalid_noise_refused_before_any_draw(self, monkeypatch,
+                                                   noise_std):
+        def no_draw(*args):
+            raise AssertionError("drew before checking noise_std")
+        monkeypatch.setattr(train_harness, "rng_stream", no_draw)
+        with pytest.raises(ValueError, match="noise_std must be finite"):
+            gen_task(6, 5, DensePlant(), 8, noise_std, seed=2)
+
     def test_kron_plants_keep_draw_order(self):
         # per term: the left then the right factor (KronSumPlant), or A1,
         # A2, B1, B2 (LsrProductPlant), all from the "task-plant" stream
