@@ -7,13 +7,16 @@ small matrices:
     A_sum = sum_k A1[k] (x) A2[k]      (w1 x r)
     B_sum = sum_k B1[k] (x) B2[k]      (r  x w2)
 
-with a1*a2 = w1, r1*r2 = r, b1*b2 = w2.  Forward and backward never
+with a1*a2 = w1, r1*r2 = r, b1*b2 = w2: ``ShapePlan`` checks both
+splits with ``kron_core._check_split``, and ``ShapePlan.stack_shapes(s)``
+alone refuses a separation rank s below 1.  Forward and backward never
 materialize the w1 x w2 update.  Each call takes the two thin factors
 from ``update_factors()`` (one ``kron_core._dense_kron_sum`` per side,
 O(s r (w1 + w2)) work, when the parameters changed since they were last
-formed) and then runs the plain low-rank map on them,
-over a batch of inputs held as the rows of an (n, w2) array; a 1-D
-input is a batch of one and gets 1-D results back:
+formed) and then runs the plain low-rank map on them, over a batch of
+inputs held as the rows of an (n, w2) array, taken in by the package's
+one batch rule, ``kron_core._as_batch``: a 1-D input is a batch of one
+and gets 1-D results back:
 
     Y = X W^T + alpha * (X B_sum^T) A_sum^T
 
@@ -61,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import Matrix, _checked, _dense_kron_sum, _project, as_matrix
+from .kron_core import (Matrix, _as_batch, _check_split, _checked,
+                        _dense_kron_sum, _project, as_matrix)
 from .lsr_repr import SeparatedMatrix, Shape
 from .rng import rng_stream
 
@@ -90,20 +94,20 @@ class ShapePlan:
     b2: int
 
     def __post_init__(self):
-        for name in ("w1", "w2", "r", "a1", "a2", "r1", "r2", "b1", "b2"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.a1 * self.a2 != self.w1:
-            raise ValueError(f"a1*a2 = {self.a1 * self.a2} != w1 = {self.w1}")
-        if self.r1 * self.r2 != self.r:
-            raise ValueError(f"r1*r2 = {self.r1 * self.r2} != r = {self.r}")
-        if self.b1 * self.b2 != self.w2:
-            raise ValueError(f"b1*b2 = {self.b1 * self.b2} != w2 = {self.w2}")
+        # two splits cover every size: A_sum's the a's and r's, B_sum's the
+        # b's, and each product then makes w1, r or w2 positive as well
+        _check_split((self.a1, self.r1), (self.a2, self.r2),
+                     (self.w1, self.r), "A_sum")
+        _check_split((self.r1, self.b1), (self.r2, self.b2),
+                     (self.r, self.w2), "B_sum")
 
     def stack_shapes(self, s: int) -> dict[str, tuple[int, int, int]]:
         """Shape (s, rows, cols) of each factor stack, in ``flat`` order,
         such that A_sum = sum_k A1[k] (x) A2[k] is w1 x r and
-        B_sum = sum_k B1[k] (x) B2[k] is r x w2."""
+        B_sum = sum_k B1[k] (x) B2[k] is r x w2; the one place a
+        separation rank s below 1 is refused."""
+        if s < 1:
+            raise ValueError(f"separation rank s must be >= 1, got {s}")
         return {"A1": (s, self.a1, self.r1), "A2": (s, self.a2, self.r2),
                 "B1": (s, self.r1, self.b1), "B2": (s, self.r2, self.b2)}
 
@@ -222,8 +226,6 @@ class LsrAdaptLayer(_FlatParams):
     B2: np.ndarray  # (s, r2, b2)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("separation rank s must be >= 1")
         self._store(tuple(self.plan.stack_shapes(self.s)), 3)
 
     def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -312,18 +314,16 @@ class LoraLayer(_FlatParams):
 def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
          seed: int = 0) -> LsrAdaptLayer:
     """Fresh layer: A1, A2, B1 Gaussian, B2 zero; s < 1 is refused
-    before the first draw.
+    (``ShapePlan.stack_shapes``) before the first draw.
 
     The zero B2 family makes the materialized update exactly zero, so the
     layer reproduces W x at step 0 while still receiving gradient through
     B2 from the first step on.
     """
-    if s < 1:
-        raise ValueError(f"separation rank s must be >= 1, got {s}")
+    shapes = plan.stack_shapes(s)
     g = rng_stream(seed, "adapter-init")
     a_std = np.sqrt(1.0 / plan.w2)
     b1_std = np.sqrt(1.0 / plan.r)
-    shapes = plan.stack_shapes(s)
     return LsrAdaptLayer(
         W=W, alpha=float(alpha), plan=plan, s=int(s),
         A1=g.normal(0.0, a_std, size=shapes["A1"]),
@@ -331,20 +331,6 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
         B1=g.normal(0.0, b1_std, size=shapes["B1"]),
         B2=np.zeros(shapes["B2"]),
     )
-
-
-def _as_batch(x, width: int, name: str) -> tuple[np.ndarray, bool]:
-    """Validated (n, width) float64 batch, and whether x was a single
-    1-D vector (a batch of one)."""
-    b = _checked(x, name, None)
-    single = b.ndim == 1
-    if single:
-        if b.size != width:
-            raise ValueError(f"{name} has length {b.size}, expected {width}")
-        b = b.reshape(1, width)
-    elif b.ndim != 2 or b.shape[1] != width:
-        raise ValueError(f"{name} has shape {b.shape}, expected (n, {width})")
-    return b, single
 
 
 def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
@@ -359,7 +345,7 @@ def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
 
 def _forward(layer, x) -> np.ndarray:
     # the checked forward of both layer types, on update_factors()
-    X, single = _as_batch(x, layer.W.shape[1], "x")
+    X, single = _as_batch(x, layer.W.shape[1])
     A, B = layer.update_factors()
     return _low_rank_forward(layer, X[0] if single else X, A,
                              _apply_b(B, X))
@@ -409,7 +395,7 @@ def backward(layer: LsrAdaptLayer, x, g):
 def _backward(layer, x, g):
     # the checked backward of both layer types, on update_factors()
     w1, w2 = layer.W.shape
-    X, single = _as_batch(x, w2, "x")
+    X, single = _as_batch(x, w2)
     G, _ = _as_batch(g, w1, "g")
     if G.shape[0] != X.shape[0]:
         raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
@@ -431,8 +417,6 @@ def _low_rank_backward(layer, X: np.ndarray, G: np.ndarray, A: Matrix,
 
 def count_params_lsr(plan: ShapePlan, s: int) -> int:
     """Trainable scalars in the factored adapter."""
-    if s < 1:
-        raise ValueError(f"separation rank s must be >= 1, got {s}")
     return sum(map(math.prod, plan.stack_shapes(s).values()))
 
 

@@ -290,14 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lora-r", type=int, default=8,
                    help="baseline rank in compare mode")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps-hat", type=float, default=1e-8)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=32)
+    c = train_harness.OptimizerConfig()
+    p.add_argument("--optimizer", default=c.kind, choices=("adam", "sgd"))
+    p.add_argument("--lr", type=float, default=c.learning_rate)
+    p.add_argument("--momentum", type=float, default=c.momentum)
+    p.add_argument("--beta1", type=float, default=c.beta1)
+    p.add_argument("--beta2", type=float, default=c.beta2)
+    p.add_argument("--eps-hat", type=float, default=c.eps_hat)
+    p.add_argument("--steps", type=int, default=c.steps)
+    p.add_argument("--batch-size", type=int, default=c.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output file prefix")
     p.set_defaults(func=cmd_train)

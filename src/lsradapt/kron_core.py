@@ -3,7 +3,17 @@
 Conventions fixed here and relied on everywhere else:
 
 * matrices are 2-D C-contiguous float64 arrays with finite entries;
-  ``_checked`` writes that rule once, for every array the package takes in;
+  ``_checked`` writes that rule once, for every array the package takes
+  in, and names the array it refuses, a ragged one included;
+* a linear map takes ``x`` as an (n, cols) batch, one input per row, or
+  as one vector of length cols (a batch of one) and answers in kind;
+  ``_as_batch`` writes that rule once, for ``apply_kron2`` (and so its
+  transpose), ``lsr_repr.apply`` and the adapter's ``forward`` and
+  ``backward``;
+* a split ``left (x) right`` of a matrix has positive factor sizes whose
+  products are the matrix's shape; ``_check_split`` writes that rule
+  once, for ``lsr_repr.rearrange``, the Kronecker-sum plant and the
+  adapter's ``ShapePlan``;
 * every internal kernel is ROW-MAJOR: (P (x) Q) x is P X Q^T flattened,
   for X = x.reshape(P.cols, Q.cols); only the public ``vec``/``unvec``
   stack COLUMN-MAJOR, under which ``(P (x) Q) vec(X) = vec(Q X P^T)``.
@@ -37,8 +47,13 @@ class Shape(NamedTuple):
 
 def _checked(a, name: str, ndim: int | None) -> np.ndarray:
     """The package's one array rule: ``a`` as a C-contiguous float64
-    array of rank ``ndim`` (any rank for None) with finite entries."""
-    m = np.asarray(a, dtype=np.float64, order="C")
+    array of rank ``ndim`` (any rank for None) with finite entries; an
+    ``a`` numpy cannot read as one rectangular array is refused by name."""
+    try:
+        m = np.asarray(a, dtype=np.float64, order="C")
+    except ValueError as exc:
+        raise ValueError(f"{name} is not a rectangular float64 array: "
+                         f"{exc}") from exc
     if ndim is not None and m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     # a finite sum of squares has only finite terms, so the exact test
@@ -58,6 +73,34 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
 
 def as_vector(x, name: str = "vector") -> Vector:
     return _checked(x, name, 1)
+
+
+def _as_batch(x, width: int, name: str = "x") -> tuple[np.ndarray, bool]:
+    """The one rule for what a linear map takes: ``x`` as a checked
+    (n, width) batch, and whether it was a single 1-D vector (a batch of
+    one, returned as (1, width))."""
+    b = _checked(x, name, None)
+    single = b.ndim == 1
+    if single:
+        if b.size != width:
+            raise ValueError(f"{name} has length {b.size}, expected {width}")
+        b = b[None]
+    elif b.ndim != 2 or b.shape[1] != width:
+        raise ValueError(f"{name} has shape {b.shape}, expected (n, {width})")
+    return b, single
+
+
+def _check_split(left, right, shape, name: str) -> None:
+    """The one rule for a split ``left (x) right`` of a matrix of the
+    given (rows, cols) shape: positive factor sizes, and
+    left.rows * right.rows, left.cols * right.cols equal to the shape."""
+    (lr, lc), (rr, rc) = left, right
+    split = f"{name} split {lr}x{lc} (x) {rr}x{rc}"
+    if min(lr, lc, rr, rc) < 1:
+        raise ValueError(f"{split} must have positive sizes")
+    if (lr * rr, lc * rc) != tuple(shape):
+        raise ValueError(f"{split} is {lr * rr}x{lc * rc}, not "
+                         f"{shape[0]}x{shape[1]}")
 
 
 def kron(U, V) -> Matrix:
@@ -154,28 +197,30 @@ def _kron_sum(P_wide: Matrix, Qt: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return P_wide @ (Z[:, None] @ Qt).reshape(n, s * pc, qr)
 
 
-def _apply2(P: Matrix, Q: Matrix, x: Vector) -> Vector:
-    # unvalidated core of apply_kron2: _kron_sum on a stack of one, whose
+def _apply2(P: Matrix, Q: Matrix, X: np.ndarray) -> np.ndarray:
+    # unvalidated core of apply_kron2, (n, P.cols * Q.cols) rows in and
+    # (n, P.rows * Q.rows) out: _kron_sum on a stack of one, whose
     # side-by-side form is P itself
-    return _kron_sum(P, Q.T[None],
-                     x.reshape(1, P.shape[1], Q.shape[1])).reshape(-1)
+    n = len(X)
+    return _kron_sum(P, Q.T[None], X.reshape(n, P.shape[1], Q.shape[1])
+                     ).reshape(n, P.shape[0] * Q.shape[0])
 
 
-def apply_kron2(P, Q, x) -> Vector:
+def apply_kron2(P, Q, x) -> np.ndarray:
     """Compute (P (x) Q) @ x without materializing the Kronecker product:
-    y = P X Q^T for the row-major X = x.reshape(P.cols, Q.cols)."""
+    y = P X Q^T for the row-major X = x.reshape(P.cols, Q.cols).  x is
+    one vector or an (n, P.cols * Q.cols) batch (``_as_batch``); the
+    result is a vector or one row per input to match."""
     P = as_matrix(P, "P")
     Q = as_matrix(Q, "Q")
-    x = as_vector(x, "x")
-    if x.size != P.shape[1] * Q.shape[1]:
-        raise ValueError(
-            f"apply_kron2 length mismatch: {x.size} != "
-            f"{P.shape[1]}*{Q.shape[1]}")
-    return np.ascontiguousarray(_apply2(P, Q, x))
+    X, single = _as_batch(x, P.shape[1] * Q.shape[1])
+    Y = _apply2(P, Q, X)
+    return Y[0] if single else Y
 
 
-def apply_kron2_transpose(P, Q, g) -> Vector:
-    """Compute (P (x) Q)^T @ g, i.e. (P^T (x) Q^T) @ g, matrix-free."""
+def apply_kron2_transpose(P, Q, g) -> np.ndarray:
+    """Compute (P (x) Q)^T @ g, i.e. (P^T (x) Q^T) @ g, matrix-free, for
+    one vector or a batch of them."""
     return apply_kron2(np.transpose(P), np.transpose(Q), g)
 
 

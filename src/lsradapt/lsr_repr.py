@@ -28,6 +28,8 @@ from .kron_core import (
     Matrix,
     Shape,
     Vector,
+    _as_batch,
+    _check_split,
     _checked,
     _dense_kron_sum,
     _kron_sum,
@@ -72,8 +74,8 @@ class SeparatedMatrix:
         shape = Shape(int(self.shape[0]), int(self.shape[1]))
         if shape.rows < 1 or shape.cols < 1:
             raise ValueError(f"shape must be positive, got {shape}")
-        weights = _checked(np.array(self.weights, float), "weights", 1)
-        stacks = tuple(_checked(np.array(F, float), f"factor {i} stack", 3)
+        weights = _checked(self.weights, "weights", 1).copy()
+        stacks = tuple(_checked(F, f"factor {i} stack", 3).copy()
                        for i, F in enumerate(self.stacks))
         s = len(weights)
         if any(len(F) != s for F in stacks) or s and not stacks:
@@ -153,16 +155,17 @@ def materialize(S: SeparatedMatrix) -> Matrix:
     return out
 
 
-def apply(S: SeparatedMatrix, x) -> Vector:
+def apply(S: SeparatedMatrix, x) -> np.ndarray:
     """Matrix-free materialize(S) @ x for every factor count (``_kron_sum``
     on the stacks of ``S._pair``, with both of its operands formed once per
-    representation).  x is validated once here; the stacks were
-    validated when S was built."""
-    x = as_vector(x, "x")
-    if x.size != S.shape.cols:
-        raise ValueError(f"length mismatch: {x.size} != {S.shape.cols}")
+    representation).  x is one vector or an (n, cols) batch, checked once
+    here by ``kron_core._as_batch``; the result is a vector or one row per
+    input to match.  The stacks were checked when S was built."""
+    X, single = _as_batch(x, S.shape.cols)
     P_wide, Qt = S._pair_wide
-    return _kron_sum(P_wide, Qt, x.reshape(1, -1, Qt.shape[1])).reshape(-1)
+    n, qc = len(X), Qt.shape[1]
+    Y = _kron_sum(P_wide, Qt, X.reshape(n, S.shape.cols // qc, qc))
+    return Y.reshape(-1) if single else Y.reshape(n, S.shape.rows)
 
 
 def diagnose(S: SeparatedMatrix, budgets) -> tuple[Matrix, float, list[bool]]:
@@ -247,13 +250,7 @@ def rearrange(M, left: Shape, right: Shape) -> Matrix:
     M = as_matrix(M, "M")
     lr, lc = int(left[0]), int(left[1])
     rr, rc = int(right[0]), int(right[1])
-    if min(lr, lc, rr, rc) < 1:
-        raise ValueError(f"factor shapes must have positive sizes: "
-                         f"left {lr}x{lc}, right {rr}x{rc}")
-    if lr * rr != M.shape[0] or lc * rc != M.shape[1]:
-        raise ValueError(
-            f"shapes do not factor {M.shape[0]}x{M.shape[1]}: "
-            f"left {lr}x{lc}, right {rr}x{rc}")
+    _check_split((lr, lc), (rr, rc), M.shape, "factor shape")
     return np.ascontiguousarray(_rearrange(M.T, lc, lr, rc, rr))
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import adapter
 from .adapter import ShapePlan
-from .kron_core import Matrix, Shape, _checked, _dense_kron_sum
+from .kron_core import Matrix, Shape, _check_split, _checked, _dense_kron_sum
 from .rng import rng_stream
 
 # rows of the update formed at a time by recovery_error
@@ -71,15 +71,9 @@ class KronSumPlant:
     right: Shape
 
     def delta(self, w1: int, w2: int, rng) -> Matrix:
-        (lr, lc), (rr, rc) = self.left, self.right
-        if min(lr, lc, rr, rc) < 1:
-            raise ValueError(f"plant shapes {lr}x{lc} (x) {rr}x{rc} must "
-                             "have positive sizes")
-        if lr * rr != w1 or lc * rc != w2:
-            raise ValueError(
-                f"plant shapes {lr}x{lc} (x) {rr}x{rc} do not give {w1}x{w2}")
-        return _dense_kron_sum(*_draw_stacks(
-            rng, [(self.s, lr, lc), (self.s, rr, rc)]))
+        _check_split(self.left, self.right, (w1, w2), "plant")
+        return _dense_kron_sum(*_draw_stacks(rng, self.s,
+                                             (self.left, self.right)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,9 @@ class LsrProductPlant:
         p = self.plan
         if p.w1 != w1 or p.w2 != w2:
             raise ValueError(f"plan is {p.w1}x{p.w2}, task wants {w1}x{w2}")
-        A1, A2, B1, B2 = _draw_stacks(rng, p.stack_shapes(self.s).values())
+        # one term's shapes, so that the plant's own terms rule runs first
+        terms = [shape[1:] for shape in p.stack_shapes(1).values()]
+        A1, A2, B1, B2 = _draw_stacks(rng, self.s, terms)
         return _dense_kron_sum(A1, A2) @ _dense_kron_sum(B1, B2)
 
 
@@ -158,14 +154,13 @@ class CompareReport:
     param_ratio: float
 
 
-def _draw_stacks(rng, shapes) -> list[np.ndarray]:
-    """Stacks of the given (s, rows, cols) shapes, all with the same s,
-    filled term by term with one draw per stack."""
-    shapes = list(shapes)
-    s = shapes[0][0]
+def _draw_stacks(rng, s: int, shapes) -> list[np.ndarray]:
+    """Stacks of s terms of the given (rows, cols) shapes, filled term by
+    term with one draw per stack; the Kronecker plants' one rule for
+    their number of terms."""
     if s < 1:
         raise ValueError(f"plant terms {s} out of range")
-    stacks = [np.empty(shape) for shape in shapes]
+    stacks = [np.empty((s, *shape)) for shape in shapes]
     for k in range(s):
         for stack in stacks:
             stack[k] = rng.normal(size=stack.shape[1:])

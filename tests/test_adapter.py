@@ -17,6 +17,7 @@ from lsradapt import (
     LoraLayer,
     LsrAdaptLayer,
     OptimizerConfig,
+    ShapePlan,
     backward,
     count_params_lora,
     count_params_lsr,
@@ -94,9 +95,32 @@ class TestPlanShapes:
             assert plan.a1 * plan.a2 == n
 
     def test_invalid_plan_rejected(self):
-        from lsradapt import ShapePlan
         with pytest.raises(ValueError):
             ShapePlan(w1=6, w2=6, r=2, a1=2, a2=2, r1=1, r2=2, b1=3, b2=2)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("entry", ["stack_shapes", "init",
+                                       "count_params_lsr", "LsrAdaptLayer"])
+    def test_separation_rank_rule_is_stack_shapes(self, monkeypatch, entry,
+                                                  bad):
+        # every entry point reaches the one refusal, ShapePlan.stack_shapes
+        plan = plan_shapes(12, 8, 4)
+        calls = []
+        original = ShapePlan.stack_shapes
+        monkeypatch.setattr(ShapePlan, "stack_shapes", lambda self, s:
+                            calls.append(s) or original(self, s))
+        arrays = init(np.zeros((12, 8)), plan, s=1).params
+        run = {"stack_shapes": lambda: plan.stack_shapes(bad),
+               "init": lambda: init(np.zeros((12, 8)), plan, s=bad),
+               "count_params_lsr": lambda: count_params_lsr(plan, bad),
+               "LsrAdaptLayer": lambda: LsrAdaptLayer(
+                   W=np.zeros((12, 8)), alpha=1.0, plan=plan, s=bad,
+                   **arrays)}[entry]
+        calls.clear()
+        with pytest.raises(ValueError, match=f"^separation rank s must be "
+                                             f">= 1, got {bad}$"):
+            run()
+        assert calls == [bad]
 
 
 class TestInit:

@@ -11,7 +11,9 @@ import pytest
 
 import lsradapt
 import lsradapt.lsr_repr
+import lsradapt.train_harness
 from lsradapt import (
+    OptimizerConfig,
     PrecisionBudget,
     check_precision,
     condition_number,
@@ -397,6 +399,20 @@ class TestTrain:
                         "--steps", "3", *args, "--out", str(tmp_path / "run"))
         assert code == 2
         assert message in out
+
+    def test_bare_train_uses_optimizer_config_defaults(self, tmp_path,
+                                                       monkeypatch):
+        # the optimizer flags' defaults are OptimizerConfig's own
+        class Captured(Exception):
+            pass
+
+        def capture(layer, task, config):
+            raise Captured(config)
+
+        monkeypatch.setattr(lsradapt.train_harness, "train", capture)
+        with pytest.raises(Captured) as caught:
+            main(["train", "--out", str(tmp_path / "run")])
+        assert caught.value.args == (OptimizerConfig(),)
 
     @pytest.mark.parametrize("terms", ["0", "-1"])
     @pytest.mark.parametrize("plant", [

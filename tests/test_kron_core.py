@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+import lsradapt.adapter
 from lsradapt import (
+    KronSumPlant,
+    SeparatedMatrix,
     Shape,
+    ShapePlan,
+    apply,
     apply_kron2,
     apply_kron2_flops,
     apply_kron2_transpose,
@@ -14,11 +19,15 @@ from lsradapt import (
     init,
     kron,
     kron_multi,
+    materialize,
+    nearest_kron_sum,
     plan_shapes,
+    rearrange,
     unvec,
     vec,
 )
 from lsradapt.kron_core import (
+    _as_batch,
     _checked,
     _kron_sum,
     _project,
@@ -212,6 +221,11 @@ class TestSharedRearrangement:
         y = g.normal(size=m1 * m2)
         assert rel_err(apply_kron2(P, Q, x), K @ x) <= 1e-12
         assert rel_err(apply_kron2_transpose(P, Q, y), K.T @ y) <= 1e-12
+        # a batch: one row per input, each row its vector's result
+        X = g.normal(size=(5, c1 * c2))
+        Y = g.normal(size=(5, m1 * m2))
+        assert rel_err(apply_kron2(P, Q, X), X @ K.T) <= 1e-12
+        assert rel_err(apply_kron2_transpose(P, Q, Y), Y @ K) <= 1e-12
 
 
 class TestIdentities:
@@ -250,6 +264,133 @@ class TestIdentities:
             C = g.normal(size=tuple(g.integers(1, 9, size=2)))
             prod = np.linalg.norm(B) * np.linalg.norm(C)
             assert abs(np.linalg.norm(kron(B, C)) - prod) <= 1e-12 * prod
+
+
+def _separated(g, left, right, s):
+    # a two-factor representation of s random terms
+    return SeparatedMatrix(Shape(left[0] * right[0], left[1] * right[1]),
+                           g.normal(size=s), (g.normal(size=(s, *left)),
+                                              g.normal(size=(s, *right))))
+
+
+def _linear_maps(g):
+    """Name -> (map, its dense matrix) for each public linear map of the
+    package."""
+    P, Q = g.normal(size=(6, 4)), g.normal(size=(5, 3))
+    S = _separated(g, (4, 3), (6, 5), 3)
+    return {"apply_kron2": (lambda x: apply_kron2(P, Q, x), naive_kron(P, Q)),
+            "apply_kron2_transpose": (
+                lambda x: apply_kron2_transpose(P, Q, x), naive_kron(P, Q).T),
+            "apply": (lambda x: apply(S, x), materialize(S))}
+
+
+MAPS = pytest.mark.parametrize(
+    "name", ["apply_kron2", "apply_kron2_transpose", "apply"])
+
+
+class TestBatchRule:
+    """Every linear map takes x through ``kron_core._as_batch``: an
+    (n, cols) batch or one vector, answered in kind."""
+
+    def test_defined_once(self):
+        assert lsradapt.adapter._as_batch is _as_batch
+
+    @MAPS
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 100])
+    def test_rows_are_their_vectors_bit_for_bit(self, name, n):
+        g = np.random.default_rng(n)
+        fn, K = _linear_maps(g)[name]
+        X = g.normal(size=(n, K.shape[1]))
+        Y = fn(X)
+        assert Y.shape == (n, K.shape[0]) and Y.flags.c_contiguous
+        for x, y in zip(X, Y):
+            assert y.tobytes() == fn(x).tobytes()
+        assert rel_err(Y, X @ K.T) <= 1e-10
+
+    @MAPS
+    def test_vector_is_a_batch_of_one(self, name):
+        g = np.random.default_rng(5)
+        fn, K = _linear_maps(g)[name]
+        x = g.normal(size=K.shape[1])
+        y = fn(x)
+        assert y.shape == (K.shape[0],)
+        assert y.tobytes() == fn(x[None]).tobytes()
+        assert fn(x[None]).shape == (1, K.shape[0])
+        assert rel_err(y, K @ x) <= 1e-10
+
+    @MAPS
+    def test_empty_batch(self, name):
+        fn, K = _linear_maps(np.random.default_rng(6))[name]
+        assert fn(np.empty((0, K.shape[1]))).shape == (0, K.shape[0])
+
+    @MAPS
+    @pytest.mark.parametrize("bad, match", [
+        (lambda c: np.ones(c - 1), "x has length {w}, expected {c}"),
+        (lambda c: np.ones((2, c + 1)), r"x has shape \(2, {w}\), "
+                                         r"expected \(n, {c}\)"),
+        (lambda c: 3.0, r"x has shape \(\), expected \(n, {c}\)"),
+        (lambda c: np.ones((2, 1, c)), r"x has shape \(2, 1, {c}\)"),
+        (lambda c: np.full(c, np.nan), "x contains non-finite entries"),
+        (lambda c: np.full((2, c), np.inf), "x contains non-finite entries"),
+        (lambda c: [[1.0] * c, [1.0]], "x is not a rectangular float64"),
+    ], ids=["short", "wide", "0-d", "3-D", "nan", "inf", "ragged"])
+    def test_refusals_name_x(self, name, bad, match):
+        fn, K = _linear_maps(np.random.default_rng(7))[name]
+        c = K.shape[1]
+        x = bad(c)
+        w = c - 1 if getattr(x, "ndim", 0) == 1 else c + 1
+        with pytest.raises(ValueError, match=match.format(c=c, w=w)):
+            fn(x)
+
+
+# every caller of the one split rule, given a left (x) right split and the
+# (rows, cols) shape it should tile
+SPLIT_CALLERS = {
+    "rearrange": lambda left, right, shape: rearrange(
+        np.ones(shape), left, right),
+    "nearest_kron_sum": lambda left, right, shape: nearest_kron_sum(
+        np.ones(shape), left, right, 1),
+    "KronSumPlant": lambda left, right, shape: KronSumPlant(
+        1, left, right).delta(*shape, np.random.default_rng(0)),
+    # A_sum is the split (a1 x r1) (x) (a2 x r2) of w1 x r; B_sum is
+    # 1 x 1 (x) r x 1, which tiles r x 1 whenever A_sum does
+    "ShapePlan": lambda left, right, shape: ShapePlan(
+        w1=shape[0], w2=1, r=shape[1], a1=left[0], r1=left[1], a2=right[0],
+        r2=right[1], b1=1, b2=1),
+}
+
+
+class TestSplitRule:
+    """A split left (x) right is checked by ``kron_core._check_split``
+    alone, for every caller."""
+
+    @pytest.mark.parametrize("caller", SPLIT_CALLERS.values(),
+                             ids=SPLIT_CALLERS.keys())
+    @pytest.mark.parametrize("left, right, match", [
+        # (-2)(-6) = 12 would pass the product check alone
+        ((-2, 4), (-6, 3), "positive sizes"),
+        ((0, 4), (6, 3), "positive sizes"),
+        ((2, 4), (6, -3), "positive sizes"),
+        ((2, 4), (6, 2), r"\(x\) 6x2 is 12x8, not 12x12"),
+        ((3, 4), (3, 3), r"\(x\) 3x3 is 9x12, not 12x12"),
+    ], ids=["negative", "zero", "one-negative", "cols", "rows"])
+    def test_refusals(self, caller, left, right, match):
+        with pytest.raises(ValueError, match=match):
+            caller(left, right, (12, 12))
+
+    @pytest.mark.parametrize("caller", SPLIT_CALLERS.values(),
+                             ids=SPLIT_CALLERS.keys())
+    def test_tiling_split_is_taken(self, caller):
+        caller((2, 4), (6, 3), (12, 12))
+
+    def test_plan_checks_both_sums(self):
+        with pytest.raises(ValueError, match="A_sum split 3x1 .* not 6x2"):
+            ShapePlan(w1=6, w2=6, r=2, a1=3, a2=2, r1=1, r2=1, b1=3, b2=2)
+        with pytest.raises(ValueError, match=r"B_sum split 1x3 \(x\) 2x3 "
+                                             "is 2x9, not 2x6"):
+            ShapePlan(w1=6, w2=6, r=2, a1=3, a2=2, r1=1, r2=2, b1=3, b2=3)
+        with pytest.raises(ValueError, match="B_sum split .* positive sizes"):
+            ShapePlan(w1=6, w2=6, r=2, a1=3, a2=2, r1=1, r2=2, b1=-3, b2=-2)
 
 
 def test_as_matrix_rejects_bad_input():
@@ -303,3 +444,10 @@ class TestChecked:
                 _checked(bad, "a", None)
         with pytest.raises(ValueError, match="must be 1-D, got ndim=0"):
             _checked(2.5, "a", 1)
+
+    @pytest.mark.parametrize("ragged", [
+        [[1.0, 2.0], [3.0]], [np.eye(2), np.eye(3)], [(1.0, [[1.0]])]])
+    def test_ragged_input_is_refused_by_name(self, ragged):
+        with pytest.raises(ValueError,
+                           match="a is not a rectangular float64 array"):
+            _checked(ragged, "a", None)

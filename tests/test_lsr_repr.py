@@ -180,6 +180,13 @@ class TestStackedKronSum:
         assert rel_err(materialize(S), want) <= 1e-12
         assert apply(S, x).shape == (rows,)
         assert rel_err(apply(S, x), want @ x) <= 1e-10
+        # a batch: each row its vector's result, bit for bit
+        X = g.normal(size=(4, cols))
+        Y = apply(S, X)
+        assert Y.shape == (4, rows)
+        assert rel_err(Y, X @ want.T) <= 1e-10
+        for x, y in zip(X, Y):
+            assert y.tobytes() == apply(S, x).tobytes()
 
     def test_three_factor_apply_never_materializes(self, monkeypatch):
         g = np.random.default_rng(66)
@@ -254,7 +261,10 @@ REFUSED_STACKS = {
     "zero-shape": ((0, 4), (), (), "shape must be positive"),
     "negative-shape": ((4, -1), [1.0], ([EYE2], [EYE2]),
                        "shape must be positive"),
-    "pairs-as-weights": ((4, 4), [(1.0, [EYE2, EYE2])], (), None),
+    "pairs-as-weights": ((4, 4), [(1.0, [EYE2, EYE2])], (),
+                         "weights is not a rectangular float64 array"),
+    "ragged-stack": ((4, 4), [1.0, 1.0], ([EYE2, np.eye(3)], [EYE2, EYE2]),
+                     "factor 0 stack is not a rectangular float64 array"),
 }
 
 
