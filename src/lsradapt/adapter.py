@@ -55,10 +55,15 @@ them once per parameter state and runs the same unchecked cores,
 ``_low_rank_forward`` and ``_low_rank_backward``, on them.  Both
 constructors run one checked step, ``_FlatParams._store``: it checks W,
 alpha and every trainable array and fills ``flat`` with copies of the
-arrays.
+arrays.  Both layers are frozen dataclasses, so the parameters change
+only in place (through ``params``, the views or ``flat``), and a cache
+hit needs the same layer with the same ``flat`` bytes.  ``DEFAULT_ALPHA``
+is the one default update scale: of ``init``, ``lora_init``, the CLI,
+``train_harness.compare`` and ``verify.random_layer``.
 """
 
 import math
+import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -69,7 +74,7 @@ from .kron_core import (Matrix, _as_batch, _check_split, _checked,
 from .lsr_repr import SeparatedMatrix, Shape
 from .rng import rng_stream
 
-DEFAULT_ALPHA = 32.0
+DEFAULT_ALPHA = 1.0
 
 # the last factor pair an LsrAdaptLayer formed: (weak reference to the
 # layer, its ``flat.tobytes()`` at the time, (A_sum, B_sum)), or None.
@@ -121,13 +126,20 @@ def _balanced_split(n: int) -> tuple[int, int]:
 
 
 def plan_shapes(w1: int, w2: int, r: int) -> ShapePlan:
-    """Most-balanced divisor split of each dimension (a 1 x n split always
-    exists, so any positive dims work)."""
+    """Most-balanced divisor split of each dimension (an n x 1 split always
+    exists, so any positive dims work).  A prime w1 or w2 splits as n x 1,
+    so that side's Kronecker terms do not factor: each such split is named
+    in a ``UserWarning``.  r is not checked; an r x 1 inner split is
+    normal."""
     if min(w1, w2, r) < 1:
         raise ValueError("dimensions must be positive")
     a1, a2 = _balanced_split(w1)
     b1, b2 = _balanced_split(w2)
     r1, r2 = _balanced_split(r)
+    for name, n, split in (("w1", w1, a2), ("w2", w2, b2)):
+        if split == 1 < n:
+            warnings.warn(f"{name}={n} splits as {n}x1, so its Kronecker "
+                          f"factors do not factor", UserWarning, stacklevel=2)
     return ShapePlan(w1=w1, w2=w2, r=r, a1=a1, a2=a2, r1=r1, r2=r2,
                      b1=b1, b2=b2)
 
@@ -142,28 +154,28 @@ class _FlatParams:
         array in ``names`` (``kron_core._checked`` at rank ``ndim``, no
         zero dimension, then the shape ``_expected_shapes()`` derives
         from the checked arrays), and copy the arrays, in that order,
-        into a new ``flat``."""
-        self.W = as_matrix(self.W, "W")
+        into a new ``flat``.  The layer is frozen, so the checked state is
+        written through ``vars``."""
+        attrs = vars(self)
+        attrs["W"] = as_matrix(self.W, "W")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         for name in names:
-            a = _checked(getattr(self, name), name, ndim)
+            a = attrs[name] = _checked(attrs[name], name, ndim)
             if not a.size:
                 raise ValueError(f"{name} is {a.shape}, with a zero dimension")
-            setattr(self, name, a)
         for name, shape in self._expected_shapes().items():
-            got = getattr(self, name).shape
+            got = attrs[name].shape
             if got != shape:
                 raise ValueError(f"{name} is {got}, expected {shape}")
-        self.flat = np.concatenate([getattr(self, n).reshape(-1)
-                                    for n in names])
-        self._shapes = {name: getattr(self, name).shape for name in names}
+        attrs["flat"] = np.concatenate([attrs[n].reshape(-1) for n in names])
+        attrs["_shapes"] = {name: attrs[name].shape for name in names}
         self._bind()
 
     def _bind(self) -> None:
         # make each named attribute its view into flat
-        self._params = self._views(self.flat)
-        vars(self).update(self._params)
+        params = self._views(self.flat)
+        vars(self).update(params, _params=params)
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into ``flat`` (the parameters, or a gradient that
@@ -174,15 +186,6 @@ class _FlatParams:
             out[name] = flat[start:start + size].reshape(shape)
             start += size
         return out
-
-    def _views_bound(self) -> bool:
-        """Whether every trainable attribute is still its view into the
-        current ``flat`` (none was rebound, nor ``flat`` itself)."""
-        attrs, flat = vars(self), self.flat
-        for name, view in self._params.items():
-            if attrs.get(name) is not view or view.base is not flat:
-                return False
-        return True
 
     def __getstate__(self) -> dict:
         # a copy or pickle would turn each view into an array of its own,
@@ -204,7 +207,7 @@ class _FlatParams:
         return self.flat.size
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LsrAdaptLayer(_FlatParams):
     """Frozen base weight plus the four Kronecker factor families.
 
@@ -213,7 +216,12 @@ class LsrAdaptLayer(_FlatParams):
     as views into ``flat`` (A1|A2|B1|B2); W is never updated.
     Construction (``_store``) checks every array (float64, the right
     shape, finite entries) and that alpha is finite, so no later call has
-    to, and copies the factor arrays into ``flat``.
+    to, and copies the factor arrays into ``flat``.  The layer is a
+    frozen dataclass: rebinding a field or ``flat`` raises
+    ``FrozenInstanceError``, so the parameters change only in place,
+    through ``params``, the views or ``flat``, and
+    ``dataclasses.replace`` builds a new checked layer with its own
+    ``flat``.
     """
 
     W: Matrix
@@ -239,18 +247,17 @@ class LsrAdaptLayer(_FlatParams):
         The pair last formed by any layer is kept in one module-wide
         entry, keyed by a weak reference to its layer and the bytes of
         that layer's ``flat``.  It is returned again only to the same
-        layer, while ``flat`` holds the same bytes and every trainable
-        attribute is still its view into ``flat``; any other call forms
-        both factors and replaces the entry.  So an in-place write to a
-        parameter, or a rebound attribute, is seen on the next call, a
-        value written and restored between two calls finds the entry
-        again, and a hit returns, bit for bit, what forming would give.
+        layer while ``flat`` holds the same bytes; any other call forms
+        both factors and replaces the entry.  The layer is frozen, so its
+        parameters change only in place, and a write that changes a value
+        changes those bytes: it is seen on the next call, a value written
+        and restored between two calls finds the entry again, and a hit
+        returns, bit for bit, what forming would give.
         """
         global _factor_cache
         key = self.flat.tobytes()
         entry = _factor_cache
-        if (entry is not None and entry[0]() is self and entry[1] == key
-                and self._views_bound()):
+        if entry is not None and entry[0]() is self and entry[1] == key:
             return entry[2]
         factors = (_dense_kron_sum(self.A1, self.A2),
                    _dense_kron_sum(self.B1, self.B2))
@@ -276,10 +283,11 @@ class LsrAdaptLayer(_FlatParams):
         return backward(self, x, g)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LoraLayer(_FlatParams):
     """Plain low-rank adapter baseline: y = W x + alpha * A (B x), with A
-    and B views into ``flat`` (A|B), copied there at construction."""
+    and B views into ``flat`` (A|B), copied there at construction; frozen
+    like ``LsrAdaptLayer``."""
 
     W: Matrix
     alpha: float
@@ -298,11 +306,9 @@ class LoraLayer(_FlatParams):
         return self.A, self.B
 
     def _gradients(self, dA: Matrix, dB: Matrix, out=None) -> dict:
-        if out is None:
-            return {"A": dA, "B": dB}
-        out["A"][...] = dA
-        out["B"][...] = dB
-        return out
+        if out is not None:
+            out["A"][...], out["B"][...] = dA, dB
+        return out or {"A": dA, "B": dB}
 
     def forward(self, x) -> np.ndarray:
         return lora_forward(self, x)

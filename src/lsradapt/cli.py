@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=4, help="separation rank")
     p.add_argument("--lora-r", type=int, default=8,
                    help="baseline rank in compare mode")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, default=adapter.DEFAULT_ALPHA)
     c = train_harness.OptimizerConfig()
     p.add_argument("--optimizer", default=c.kind, choices=("adam", "sgd"))
     p.add_argument("--lr", type=float, default=c.learning_rate)

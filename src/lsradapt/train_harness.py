@@ -325,7 +325,7 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
 
 def compare(task: SyntheticTask, lora_r: int, lsr_plan: ShapePlan,
             lsr_s: int, config: OptimizerConfig,
-            alpha: float = 1.0) -> CompareReport:
+            alpha: float = adapter.DEFAULT_ALPHA) -> CompareReport:
     """Train the baseline and the factored adapter from their standard
     inits on the identical task and config."""
     lora = adapter.lora_init(task.W, lora_r, alpha=alpha, seed=config.seed)

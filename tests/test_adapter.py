@@ -4,10 +4,13 @@ The binding gradient contract is agreement with central finite
 differences of a probe loss, not any particular formula.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from lsradapt import (
     OptimizerConfig,
     ShapePlan,
     backward,
+    compare,
     count_params_lora,
     count_params_lsr,
     export_delta_as_separated,
@@ -34,7 +38,8 @@ from lsradapt import (
     train,
 )
 
-from lsradapt.adapter import _project
+from lsradapt import train_harness, verify
+from lsradapt.adapter import DEFAULT_ALPHA, _project
 from lsradapt.kron_core import _dense_kron_sum
 from lsradapt.rng import rng_stream
 
@@ -80,6 +85,20 @@ class TestPlanShapes:
         assert (plan.a1, plan.a2) == (7, 1)
         assert (plan.b1, plan.b2) == (7, 1)
         assert (plan.r1, plan.r2) == (1, 1)
+
+    @pytest.mark.parametrize("w, r", [(48, 4), (768, 4), (48, 3)])
+    def test_composite_dims_do_not_warn(self, w, r):
+        # a prime r (an r x 1 inner split) is normal, and not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan_shapes(w, w, r)
+
+    def test_prime_dim_warns_once_naming_its_split(self):
+        with pytest.warns(UserWarning) as caught:
+            plan = plan_shapes(7, 8, 4)
+        assert [str(w.message) for w in caught] == [
+            "w1=7 splits as 7x1, so its Kronecker factors do not factor"]
+        assert (plan.a1, plan.a2) == (7, 1)
 
     def test_perfect_squares(self):
         plan = plan_shapes(36, 16, 9)
@@ -735,18 +754,20 @@ class TestFactorCache:
         arr[0] = old
         assert np.array_equal(forward(layer, X), want)
 
-    def test_rebound_attribute_misses(self):
-        layer, _ = self._served(103)
-        A, B = layer.update_factors()
-        layer.A1 = layer.A1.copy()  # equal values, no longer a view
-        assert layer.update_factors()[0] is not A
-        layer.A1 = 2.0 * layer.A1
-        want = _dense_kron_sum(layer.A1, layer.A2)
-        assert np.array_equal(layer.update_factors()[0], want)
-        layer, _ = self._served(104)
-        A, B = layer.update_factors()
-        layer.flat = layer.flat.copy()  # the views point at the old flat
-        assert layer.update_factors()[0] is not A
+    @pytest.mark.parametrize("kind", ["lsr", "lora"])
+    def test_rebinding_is_refused(self, kind):
+        g = np.random.default_rng(103)
+        layer, X = _layer(kind, g), g.normal(size=(4, 15))
+        flat, want = layer.flat.tobytes(), forward(layer, X)
+        names = [f.name for f in dataclasses.fields(layer)]
+        for name in names + ["flat", "_params"]:
+            value = getattr(layer, name)
+            if isinstance(value, np.ndarray):
+                value = np.ones_like(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, name, value)
+        assert layer.flat.tobytes() == flat
+        assert np.array_equal(forward(layer, X), want)
 
     def test_layers_served_alternately_get_their_own(self):
         g = np.random.default_rng(105)
@@ -805,3 +826,53 @@ class TestFactorCache:
         assert np.array_equal(layer.flat, ref.flat)
         assert np.array_equal(forward(layer, x), forward(ref, x))
         assert np.array_equal(forward(layer, x), forward(_twin(layer), x))
+
+
+def test_every_alpha_default_is_the_one_default(monkeypatch):
+    g = np.random.default_rng(111)
+    W = g.normal(size=(12, 12))
+    assert init(W, plan_shapes(12, 12, 4), 2).alpha == DEFAULT_ALPHA
+    assert lora_init(W, 3).alpha == DEFAULT_ALPHA
+    assert verify.random_layer(g, 12, 12, 4, 2).alpha == DEFAULT_ALPHA
+    trained = []
+
+    def capture(layer, task, config):
+        trained.append(layer.alpha)
+        return SimpleNamespace(trainable_params=layer.n_params)
+
+    monkeypatch.setattr(train_harness, "train", capture)
+    task = gen_task(12, 12, DensePlant(), n_samples=8, noise_std=0.0, seed=1)
+    compare(task, 3, plan_shapes(12, 12, 4), 2, OptimizerConfig(steps=1))
+    assert trained == [DEFAULT_ALPHA, DEFAULT_ALPHA]
+
+
+def _layer(kind, g):
+    if kind == "lsr":
+        return random_layer(g, 12, 15, 4, 3, alpha=0.7)
+    return LoraLayer(W=g.normal(size=(12, 15)), alpha=0.7,
+                     A=g.normal(size=(12, 3)), B=g.normal(size=(3, 15)))
+
+
+@pytest.mark.parametrize("kind", ["lsr", "lora"])
+def test_replace_builds_a_new_checked_layer(kind):
+    g = np.random.default_rng(109)
+    layer = _layer(kind, g)
+    x = g.normal(size=15)
+    want = forward(layer, x)
+    new = dataclasses.replace(layer, alpha=1.4)
+    assert new.alpha == 1.4 and not np.shares_memory(new.flat, layer.flat)
+    assert np.array_equal(new.flat, layer.flat)
+    A, B = new.update_factors()
+    assert np.allclose(forward(new, x), layer.W @ x + 1.4 * (A @ (B @ x)),
+                       rtol=1e-12, atol=1e-12)
+    new.flat[...] = 0.0  # its views are its own, bound to its own flat
+    assert all(not v.any() for v in new.params.values())
+    assert np.array_equal(forward(layer, x), want)
+
+
+@pytest.mark.parametrize("kind", ["lsr", "lora"])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_replace_refuses_non_finite_alpha(kind, alpha):
+    layer = _layer(kind, np.random.default_rng(110))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        dataclasses.replace(layer, alpha=alpha)

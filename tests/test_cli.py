@@ -414,6 +414,18 @@ class TestTrain:
             main(["train", "--out", str(tmp_path / "run")])
         assert caught.value.args == (OptimizerConfig(),)
 
+    def test_bare_train_uses_the_default_alpha(self, tmp_path, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(layer, task, config):
+            raise Captured(layer)
+
+        monkeypatch.setattr(lsradapt.train_harness, "train", capture)
+        with pytest.raises(Captured) as caught:
+            main(["train", "--out", str(tmp_path / "run")])
+        assert caught.value.args[0].alpha == lsradapt.adapter.DEFAULT_ALPHA
+
     @pytest.mark.parametrize("terms", ["0", "-1"])
     @pytest.mark.parametrize("plant", [
         ["lsr-product"],
