@@ -10,7 +10,6 @@ from .kron_core import (
     as_matrix,
     as_vector,
     kron,
-    kron_multi,
     unvec,
     vec,
 )
@@ -23,8 +22,6 @@ from .lsr_repr import (
     check_precision,
     condition_number,
     diagnose,
-    factor_vector,
-    from_rank_decomposition,
     materialize,
     nearest_kron_sum,
     normalize_terms,

@@ -69,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron_core import (Matrix, _as_batch, _check_split, _checked,
+from .kron_core import (Matrix, Shape, _as_batch, _check_split, _checked,
                         _dense_kron_sum, _project, as_matrix)
-from .lsr_repr import SeparatedMatrix, Shape
+from .lsr_repr import SeparatedMatrix
 from .rng import rng_stream
 
 DEFAULT_ALPHA = 1.0

@@ -42,6 +42,16 @@ def _parse_shape(text: str) -> Shape:
     return shape
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return n
+
+
 # ---------------------------------------------------------------- approx
 
 
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="RxC", help="left factor shape")
     p.add_argument("--right", type=_parse_shape, required=True,
                    metavar="RxC", help="right factor shape")
-    p.add_argument("--terms", type=int, required=True,
+    p.add_argument("--terms", type=_positive_int, required=True,
                    help="number of Kronecker terms")
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="target error for the precision rule")
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w2", type=int, default=768)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--s", type=int, default=16)
-    p.add_argument("--repeats", type=int, default=25)
+    p.add_argument("--repeats", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

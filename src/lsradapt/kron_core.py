@@ -48,12 +48,19 @@ class Shape(NamedTuple):
 def _checked(a, name: str, ndim: int | None) -> np.ndarray:
     """The package's one array rule: ``a`` as a C-contiguous float64
     array of rank ``ndim`` (any rank for None) with finite entries; an
-    ``a`` numpy cannot read as one rectangular array is refused by name."""
+    ``a`` numpy cannot read as one rectangular array, or a complex one
+    (whose cast to float64 would drop the imaginary part), is refused by
+    name."""
     try:
-        m = np.asarray(a, dtype=np.float64, order="C")
+        m = np.asarray(a)
+        is_complex = m.dtype.kind == "c"
+        if not is_complex:
+            m = np.asarray(m, dtype=np.float64, order="C")
     except ValueError as exc:
         raise ValueError(f"{name} is not a rectangular float64 array: "
                          f"{exc}") from exc
+    if is_complex:
+        raise ValueError(f"{name} is complex, not a real float64 array")
     if ndim is not None and m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     # a finite sum of squares has only finite terms, so the exact test
@@ -110,20 +117,6 @@ def kron(U, V) -> Matrix:
     if U.shape[0] * V.shape[0] > _MAX_INDEX or U.shape[1] * V.shape[1] > _MAX_INDEX:
         raise ValueError("kron result exceeds platform index range")
     return np.kron(U, V)
-
-
-def kron_multi(factors) -> Matrix:
-    """Left fold of ``kron`` over a non-empty factor list.
-
-    Associativity makes the fold order irrelevant for the result.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("kron_multi requires at least one factor")
-    out = as_matrix(factors[0], "factor 0")
-    for i, f in enumerate(factors[1:], start=1):
-        out = kron(out, as_matrix(f, f"factor {i}"))
-    return out
 
 
 def vec(M) -> Vector:

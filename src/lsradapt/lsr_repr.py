@@ -12,10 +12,7 @@ construction and evaluation, this module provides:
   approximation with fixed two-factor shapes (``nearest_kron_sum``),
 * that truncated SVD (``truncated_svd``): a block subspace iteration
   that returns its result only when it certifies it, with an exact SVD
-  as the fallback,
-* a constructive route from a rank decomposition ``sum_k u_k v_k^T`` to a
-  multi-factor representation via recursive best rank-1 vector reshaping
-  (``from_rank_decomposition``).
+  as the fallback.
 """
 
 import math
@@ -36,7 +33,6 @@ from .kron_core import (
     _rearrange,
     _side_by_side,
     as_matrix,
-    as_vector,
 )
 from .rng import rng_stream
 
@@ -395,88 +391,3 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None, None]
     P, Q = sign * P, sign * Q
     return SeparatedMatrix(M.shape, sigma[:kept], (P, Q))
-
-
-def factor_vector(u, dims) -> tuple[list[Vector], float]:
-    """Factor u into a Kronecker chain of vectors with the given lengths,
-    by recursive best rank-1 reshaping.
-
-    At each level u is reshaped row-major to (dims[0], prod(dims[1:]));
-    for a separable u this matrix is the outer product u1 * rest^T, so its
-    leading singular pair recovers the split exactly.  All factors except
-    the last have unit norm with their largest-magnitude entry positive.
-    Returns the factors and ||u - kron_chain(factors)||_2 (0 for separable
-    u; residuals at different levels are orthogonal, so the squared errors
-    add).
-    """
-    u = as_vector(u, "u")
-    return _factor_vector(u, _checked_dims(dims, u.size))
-
-
-def _checked_dims(dims, size: int) -> list[int]:
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor lengths must be positive, got {dims}")
-    if math.prod(dims) != size:
-        raise ValueError(f"length {size} != prod{tuple(dims)}")
-    return dims
-
-
-def _factor_vector(u: Vector, dims: list[int]) -> tuple[list[Vector], float]:
-    # unvalidated recursive core of factor_vector
-    if len(dims) == 1:
-        return [u.copy()], 0.0
-    rest_len = math.prod(dims[1:])
-    try:
-        U, sigma, Vt = np.linalg.svd(u.reshape(dims[0], rest_len),
-                                     full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    head = U[:, 0].copy()
-    rest = sigma[0] * Vt[0]
-    pivot = int(np.argmax(np.abs(head)))
-    if head[pivot] < 0.0:
-        head = -head
-        rest = -rest
-    err_here_sq = float(np.sum(sigma[1:] ** 2))
-    rest_factors, rest_err = _factor_vector(rest, dims[1:])
-    return [head] + rest_factors, math.sqrt(err_here_sq + rest_err**2)
-
-
-def from_rank_decomposition(us, vs, row_factors, col_factors):
-    """Turn a rank decomposition sum_k u_k v_k^T into a separated
-    representation with factor shapes row_factors[i] x col_factors[i].
-
-    Each u_k and v_k is factored into a Kronecker chain of vectors
-    (``factor_vector``); term k gets factors outer(u_k_i, v_k_i).  The
-    reshaping is exact only for separable vectors, so the per-term rank-1
-    truncation error ||u_k v_k^T - reshaped term||_F is returned alongside
-    the representation rather than silently ignored.
-
-    Returns (SeparatedMatrix, per-term truncation errors).
-    """
-    us = [as_vector(u, f"u[{k}]") for k, u in enumerate(us)]
-    vs = [as_vector(v, f"v[{k}]") for k, v in enumerate(vs)]
-    if len(us) != len(vs):
-        raise ValueError(f"need as many u as v vectors: {len(us)} != {len(vs)}")
-    row_factors = [int(d) for d in row_factors]
-    col_factors = [int(d) for d in col_factors]
-    if len(row_factors) != len(col_factors):
-        raise ValueError("row_factors and col_factors must have equal length")
-    if len(row_factors) < 2:
-        raise ValueError("need at least two factor dimensions")
-    shape = Shape(math.prod(row_factors), math.prod(col_factors))
-    factors = []
-    errors = []
-    for u, v in zip(us, vs):
-        u_parts, du = _factor_vector(u, _checked_dims(row_factors, u.size))
-        v_parts, dv = _factor_vector(v, _checked_dims(col_factors, v.size))
-        factors.append(list(map(np.outer, u_parts, v_parts)))
-        # u^ is orthogonal to u - u^ (norm du), v^ to v - v^ (norm dv), so
-        # ||u v^T - u^ v^^T||^2 = du^2 ||v||^2 + ||u||^2 dv^2 - du^2 dv^2:
-        # small terms, free of the cancellation in ||u v^T||^2 - ||u^ v^^T||^2
-        err_sq = (du * du * np.dot(v, v) + np.dot(u, u) * dv * dv
-                  - du * du * dv * dv)
-        errors.append(math.sqrt(max(err_sq, 0.0)))
-    return SeparatedMatrix(shape, np.ones(len(factors)),
-                           tuple(zip(*factors))), errors

@@ -9,10 +9,10 @@ values, central finite differences).
 import time
 
 import numpy as np
+import pytest
 
 from lsradapt import (
     LoraLayer,
-    LsrAdaptLayer,
     LsrProductPlant,
     OptimizerConfig,
     PrecisionBudget,
@@ -38,25 +38,21 @@ from lsradapt import (
     train,
 )
 from lsradapt.cli import main
+from lsradapt.verify import random_layer
 
 from oracles import central_diff, jacobi_singular_values, rel_err, stacked
 
 MU_16BIT = 2.0**-11
 
+# plan_shapes warns for each prime w1 or w2 (an n x 1 split); the tests
+# marked with this use prime shapes on purpose
+PRIME_SPLITS = pytest.mark.filterwarnings(
+    r"ignore:w[12]=\d+ splits as:UserWarning")
+
 
 def report(num, ok, desc):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {desc}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-def random_layer(g, w1, w2, r, s, alpha=1.0):
-    plan = plan_shapes(w1, w2, r)
-    return LsrAdaptLayer(
-        W=g.normal(size=(w1, w2)), alpha=alpha, plan=plan, s=s,
-        A1=g.normal(size=(s, plan.a1, plan.r1)),
-        A2=g.normal(size=(s, plan.a2, plan.r2)),
-        B1=g.normal(size=(s, plan.r1, plan.b1)),
-        B2=g.normal(size=(s, plan.r2, plan.b2)))
 
 
 def dense_delta(layer):
@@ -101,6 +97,7 @@ def test_criterion_02_kron_identity_suite():
            f"200 trials, worst rel err {worst:.2e}, {dt:.1f}s")
 
 
+@PRIME_SPLITS
 def test_criterion_03_matrix_free_equivalence():
     g = np.random.default_rng(300)
     t0 = time.perf_counter()
@@ -169,6 +166,7 @@ def test_criterion_05_condition_number():
            f"boundary cases {'ok' if all(cases) else 'violated'}")
 
 
+@PRIME_SPLITS
 def test_criterion_06_gradient_correctness():
     g = np.random.default_rng(600)
     t0 = time.perf_counter()

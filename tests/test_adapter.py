@@ -42,6 +42,7 @@ from lsradapt import train_harness, verify
 from lsradapt.adapter import DEFAULT_ALPHA, _project
 from lsradapt.kron_core import _dense_kron_sum
 from lsradapt.rng import rng_stream
+from lsradapt.verify import random_layer
 
 from oracles import (
     _kron_sum_grads,
@@ -52,14 +53,10 @@ from oracles import (
 )
 
 
-def random_layer(g, w1, w2, r, s, alpha=1.0):
-    plan = plan_shapes(w1, w2, r)
-    return LsrAdaptLayer(
-        W=g.normal(size=(w1, w2)), alpha=alpha, plan=plan, s=s,
-        A1=g.normal(size=(s, plan.a1, plan.r1)),
-        A2=g.normal(size=(s, plan.a2, plan.r2)),
-        B1=g.normal(size=(s, plan.r1, plan.b1)),
-        B2=g.normal(size=(s, plan.r2, plan.b2)))
+# plan_shapes warns for each prime w1 or w2 (an n x 1 split); the tests
+# marked with this use prime shapes on purpose
+PRIME_SPLITS = pytest.mark.filterwarnings(
+    r"ignore:w[12]=\d+ splits as:UserWarning")
 
 
 def dense_delta_oracle(layer):
@@ -81,7 +78,8 @@ class TestPlanShapes:
         assert (plan.r1, plan.r2) == (2, 2)
 
     def test_prime_dims(self):
-        plan = plan_shapes(7, 7, 1)
+        with pytest.warns(UserWarning, match=r"w[12]=7 splits as 7x1"):
+            plan = plan_shapes(7, 7, 1)
         assert (plan.a1, plan.a2) == (7, 1)
         assert (plan.b1, plan.b2) == (7, 1)
         assert (plan.r1, plan.r2) == (1, 1)
@@ -477,6 +475,7 @@ def test_term_scaling_is_quartic():
     assert rel_err(materialize_delta(scaled), c**4 * base) <= 1e-12
 
 
+@PRIME_SPLITS
 def test_forward_equivalence_sweep():
     g = np.random.default_rng(80)
     for _ in range(15):
@@ -491,7 +490,9 @@ def test_forward_equivalence_sweep():
 
 # (w1, w2, r, s): s = 1, r = 1, prime dims (7 x 1 and 13 x 1 splits), and
 # a general rectangular case
-KERNEL_SHAPES = [(12, 8, 4, 1), (10, 6, 1, 3), (7, 13, 2, 2), (24, 18, 6, 4)]
+KERNEL_SHAPES = [(12, 8, 4, 1), (10, 6, 1, 3),
+                 pytest.param((7, 13, 2, 2), marks=PRIME_SPLITS),
+                 (24, 18, 6, 4)]
 
 
 class TestBatchedKernel:

@@ -167,6 +167,21 @@ class TestApprox:
         assert "epsilon must be positive and finite" in out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("terms", ["0", "-1", "two"])
+    def test_terms_are_checked_before_the_input_is_read(
+            self, tmp_path, capsys, monkeypatch, terms):
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.eye(4))
+
+        def unreadable(path):
+            raise AssertionError(f"read {path} before checking --terms")
+        monkeypatch.setattr(lsradapt.io, "read_matrix", unreadable)
+        code = main(["approx", str(src), "--left", "2x2", "--right", "2x2",
+                     f"--terms={terms}", "--out", str(tmp_path / "dec")])
+        assert code == 2
+        assert "argument --terms" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_nonconforming_shapes_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         write_matrix_text(src, np.eye(6))
@@ -488,6 +503,17 @@ class TestBench:
         assert code == 0
         assert "skipped" in out
         assert grab(out, "time-ratio") == "skipped"
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_are_checked_before_any_draw(self, capsys, monkeypatch,
+                                                 repeats):
+        def undrawable(*args):
+            raise AssertionError("drew a layer before checking --repeats")
+        monkeypatch.setattr(lsradapt.verify, "random_layer", undrawable)
+        code = main(["bench", "--w1", "4", "--w2", "4", "--r", "1", "--s", "1",
+                     f"--repeats={repeats}"])
+        assert code == 2
+        assert "argument --repeats" in capsys.readouterr().err
 
     def test_degenerate_dims(self, capsys):
         code, out = run(capsys, "bench", "--w1", "1", "--w2", "1",

@@ -18,7 +18,6 @@ from lsradapt import (
     forward,
     init,
     kron,
-    kron_multi,
     materialize,
     nearest_kron_sum,
     plan_shapes,
@@ -68,27 +67,6 @@ class TestKron:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             kron([[np.nan]], [[1.0]])
-
-
-class TestKronMulti:
-    def test_single_factor(self):
-        M = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(kron_multi([M]), M)
-
-    def test_identity_chain(self):
-        assert np.array_equal(kron_multi([np.eye(2)] * 3), np.eye(8))
-
-    def test_fold_order_irrelevant(self):
-        g = np.random.default_rng(4)
-        A, B, C = (g.normal(size=(2, 2)) for _ in range(3))
-        left = kron(kron(A, B), C)
-        right = kron(A, kron(B, C))
-        assert np.array_equal(kron_multi([A, B, C]), left)
-        assert rel_err(right, left) <= 1e-12
-
-    def test_empty_list(self):
-        with pytest.raises(ValueError):
-            kron_multi([])
 
 
 class TestVecUnvec:
@@ -333,7 +311,10 @@ class TestBatchRule:
         (lambda c: np.full(c, np.nan), "x contains non-finite entries"),
         (lambda c: np.full((2, c), np.inf), "x contains non-finite entries"),
         (lambda c: [[1.0] * c, [1.0]], "x is not a rectangular float64"),
-    ], ids=["short", "wide", "0-d", "3-D", "nan", "inf", "ragged"])
+        (lambda c: np.full(c, 1 + 2j), "x is complex"),
+        (lambda c: [[1j] * c], "x is complex"),
+    ], ids=["short", "wide", "0-d", "3-D", "nan", "inf", "ragged", "complex",
+            "complex-list"])
     def test_refusals_name_x(self, name, bad, match):
         fn, K = _linear_maps(np.random.default_rng(7))[name]
         c = K.shape[1]
@@ -451,3 +432,13 @@ class TestChecked:
         with pytest.raises(ValueError,
                            match="a is not a rectangular float64 array"):
             _checked(ragged, "a", None)
+
+    # a cast to float64 would drop the imaginary part, even a zero one
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [
+        np.array([[1 + 2j, 3]]), [[1 + 2j, 3]], [np.complex128(1 + 2j)], 1j,
+        np.zeros(3, complex), np.ones((2, 2), np.complex64)])
+    def test_complex_input_is_refused_by_name(self, bad):
+        with pytest.raises(ValueError,
+                           match="a is complex, not a real float64 array"):
+            _checked(bad, "a", None)

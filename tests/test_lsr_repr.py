@@ -22,8 +22,6 @@ from lsradapt import (
     check_precision,
     condition_number,
     diagnose,
-    factor_vector,
-    from_rank_decomposition,
     kron,
     materialize,
     nearest_kron_sum,
@@ -868,76 +866,6 @@ class TestNearestKronSum:
             for t in (b, e):
                 first = t.factors[0].reshape(-1)
                 assert first[np.argmax(np.abs(first))] > 0.0
-
-
-class TestFactorVector:
-    def test_basis_vector_exact(self):
-        parts, err = factor_vector(np.array([1.0, 0.0, 0.0, 0.0]), [2, 2])
-        assert np.array_equal(parts[0], [1.0, 0.0])
-        assert np.array_equal(parts[1], [1.0, 0.0])
-        assert err == 0.0
-
-    def test_non_separable_reports_sigma2(self):
-        # the 2x2 reshape of [1, 0, 0, 1] is the identity, whose
-        # singular values are (1, 1); best rank-1 drops sigma_2 = 1
-        _, err = factor_vector(np.array([1.0, 0.0, 0.0, 1.0]), [2, 2])
-        assert abs(err - 1.0) <= 1e-12
-
-    def test_planted_separable_chain(self):
-        g = np.random.default_rng(42)
-        a, b, c = g.normal(size=2), g.normal(size=3), g.normal(size=2)
-        u = np.kron(np.kron(a, b), c)
-        parts, err = factor_vector(u, [2, 3, 2])
-        rebuilt = np.kron(np.kron(parts[0], parts[1]), parts[2])
-        assert rel_err(rebuilt, u) <= 1e-12
-        assert err <= 1e-12 * np.linalg.norm(u)
-
-    def test_error_matches_direct_difference(self):
-        g = np.random.default_rng(43)
-        u = g.normal(size=12)
-        parts, err = factor_vector(u, [3, 4])
-        direct = np.linalg.norm(u - np.kron(parts[0], parts[1]))
-        assert abs(err - direct) <= 1e-10 * max(direct, 1.0)
-
-
-class TestFromRankDecomposition:
-    def test_planted_separable(self):
-        g = np.random.default_rng(44)
-        a, b = g.normal(size=2), g.normal(size=3)
-        c, d = g.normal(size=3), g.normal(size=2)
-        u = np.kron(a, b)
-        v = np.kron(c, d)
-        S, errs = from_rank_decomposition([u], [v], [2, 3], [3, 2])
-        assert len(S.terms) == 1
-        assert rel_err(materialize(S), np.outer(u, v)) <= 1e-12
-        assert errs[0] <= 1e-10
-
-    def test_non_separable_error_reported(self):
-        g = np.random.default_rng(45)
-        u = np.array([1.0, 0.0, 0.0, 1.0])  # 2x2 reshape is rank 2
-        d = g.normal(size=2)
-        v = np.kron(g.normal(size=2), d)
-        v /= np.linalg.norm(v)
-        S, errs = from_rank_decomposition([u], [v], [2, 2], [2, 2])
-        # separable unit v leaves exactly the dropped sigma_2 = 1 of u
-        assert abs(errs[0] - 1.0) <= 1e-10
-        direct = np.linalg.norm(np.outer(u, v) - materialize(S))
-        assert abs(errs[0] - direct) <= 1e-10
-
-    def test_multi_term_sum(self):
-        g = np.random.default_rng(46)
-        us = [np.kron(g.normal(size=3), g.normal(size=2)) for _ in range(2)]
-        vs = [np.kron(g.normal(size=2), g.normal(size=2)) for _ in range(2)]
-        S, errs = from_rank_decomposition(us, vs, [3, 2], [2, 2])
-        want = sum(np.outer(u, v) for u, v in zip(us, vs))
-        assert rel_err(materialize(S), want) <= 1e-10
-        assert max(errs) <= 1e-10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            from_rank_decomposition([np.ones(4)], [], [2, 2], [2, 2])
-        with pytest.raises(ValueError):
-            from_rank_decomposition([np.ones(4)], [np.ones(4)], [2, 3], [2, 2])
 
 
 class TestInvariants:
