@@ -47,7 +47,12 @@ interface, so callers never branch on the type: ``params`` maps names
 views into one contiguous vector ``flat``, ``n_params`` is ``flat.size``,
 ``update_factors()`` gives the dense (A, B) before alpha, and
 ``forward(x)``/``backward(x, g)`` return y and ``(grads, dx)``, with
-``grads`` keyed like ``params``.  The public calls take the factors from
+``grads`` keyed like ``params``.  That method pair is defined once, on
+``_FlatParams``, and calls the module's ``forward``/``backward``; they
+and ``lora_forward``/``lora_backward`` are one-line wrappers over one
+checked forward and one checked backward (``_forward``, ``_backward``),
+kept as four objects so that a tracer can tell them apart.  The public
+calls take the factors from
 ``update_factors()``, which serves the factored layer's last formed pair
 again while its parameters are unchanged (one shared, content-checked
 entry; see ``LsrAdaptLayer.update_factors``); the training loop asks for
@@ -206,6 +211,14 @@ class _FlatParams:
     def n_params(self) -> int:
         return self.flat.size
 
+    # both layer types: the module functions are looked up per call, so
+    # wrappers set on them see method calls too
+    def forward(self, x) -> np.ndarray:
+        return forward(self, x)
+
+    def backward(self, x, g):
+        return backward(self, x, g)
+
 
 @dataclass(frozen=True, eq=False)
 class LsrAdaptLayer(_FlatParams):
@@ -274,14 +287,6 @@ class LsrAdaptLayer(_FlatParams):
         _project(dB, self.B1, self.B2, out=(out["B1"], out["B2"]))
         return out
 
-    # module functions are looked up per call, so wrappers set on them
-    # see method calls too
-    def forward(self, x) -> np.ndarray:
-        return forward(self, x)
-
-    def backward(self, x, g):
-        return backward(self, x, g)
-
 
 @dataclass(frozen=True, eq=False)
 class LoraLayer(_FlatParams):
@@ -310,12 +315,6 @@ class LoraLayer(_FlatParams):
             out["A"][...], out["B"][...] = dA, dB
         return out or {"A": dA, "B": dB}
 
-    def forward(self, x) -> np.ndarray:
-        return lora_forward(self, x)
-
-    def backward(self, x, g):
-        return lora_backward(self, x, g)
-
 
 def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
          seed: int = 0) -> LsrAdaptLayer:
@@ -339,9 +338,10 @@ def init(W, plan: ShapePlan, s: int, alpha: float = DEFAULT_ALPHA,
     )
 
 
-def forward(layer: LsrAdaptLayer, x) -> np.ndarray:
+def forward(layer, x) -> np.ndarray:
     """y = W x + alpha * A_sum (B_sum x) for every row of x, on the dense
-    factors (the w1 x w2 update is never formed).
+    factors (the w1 x w2 update is never formed); either layer type, as
+    ``layer.forward(x)`` calls it.
 
     x is (n, w2) or a single vector of length w2; the result is (n, w1)
     or a vector of length w1 to match.
@@ -384,9 +384,10 @@ def materialize_delta(layer: LsrAdaptLayer) -> Matrix:
     return a_sum @ b_sum
 
 
-def backward(layer: LsrAdaptLayer, x, g):
+def backward(layer, x, g):
     """Exact gradients ``(grads, dx)`` of L w.r.t. the factors and x,
-    given g = dL/dy.
+    given g = dL/dy; either layer type, as ``layer.backward(x, g)`` calls
+    it.
 
     x is (n, w2) and g is (n, w1), or single vectors.  ``grads`` maps each
     name in ``layer.params`` to its gradient, summed over the batch; dx
@@ -394,12 +395,12 @@ def backward(layer: LsrAdaptLayer, x, g):
     docstring for the derivation: the dense gradients of A_sum and B_sum
     are projected onto the factor stacks.
     """
-    dA, dB, dx = _backward(layer, x, g)
-    return layer._gradients(dA, dB), dx
+    return _backward(layer, x, g)
 
 
 def _backward(layer, x, g):
-    # the checked backward of both layer types, on update_factors()
+    # the checked backward of both layer types, on update_factors():
+    # (grads, dx), the dense gradients projected by layer._gradients
     w1, w2 = layer.W.shape
     X, single = _as_batch(x, w2)
     G, _ = _as_batch(g, w1, "g")
@@ -407,7 +408,7 @@ def _backward(layer, x, g):
         raise ValueError(f"x has {X.shape[0]} rows but g has {G.shape[0]}")
     A, B = layer.update_factors()
     dA, dB, dx = _low_rank_backward(layer, X, G, A, B, _apply_b(B, X))
-    return dA, dB, dx.reshape(-1) if single else dx
+    return layer._gradients(dA, dB), dx.reshape(-1) if single else dx
 
 
 def _low_rank_backward(layer, X: np.ndarray, G: np.ndarray, A: Matrix,
@@ -454,8 +455,7 @@ def lora_backward(layer: LoraLayer, x, g):
     """Gradients ``({"A": dA, "B": dB}, dx)`` for the baseline forward
     map: dA and dB summed over the rows of x and g, dx one row per
     sample."""
-    dA, dB, dx = _backward(layer, x, g)
-    return layer._gradients(dA, dB), dx
+    return _backward(layer, x, g)
 
 
 def export_delta_as_separated(layer: LsrAdaptLayer) -> SeparatedMatrix:

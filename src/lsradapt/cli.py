@@ -113,21 +113,21 @@ def cmd_params(args) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _build_plant(args):
+def _build_plant(args, plan):
     if args.plant == "dense":
         return train_harness.DensePlant()
     if args.plant == "low-rank":
-        return train_harness.LowRankPlant(args.plant_rank)
+        return train_harness.LowRankPlant(args.plant_terms)
     if args.plant == "kron-sum":
         if args.plant_left is None or args.plant_right is None:
             raise ValueError("kron-sum plant needs --plant-left/--plant-right")
         return train_harness.KronSumPlant(args.plant_terms, args.plant_left,
                                           args.plant_right)
-    plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-    return train_harness.LsrProductPlant(args.plant_terms, plan)
+    return train_harness.LsrProductPlant(args.plant_terms, plan())
 
 
-def _write_report(prefix: Path, kind: str, report) -> None:
+def _report(prefix, kind: str, report) -> None:
+    # <prefix>.report and <prefix>.curve.csv, then the summary line
     lines = [f"adapter={kind}",
              f"final_loss={report.final_loss!r}",
              f"recovery_error={report.recovery_error!r}",
@@ -139,43 +139,38 @@ def _write_report(prefix: Path, kind: str, report) -> None:
         fh.write("entry,loss\n")
         for i, loss in enumerate(report.loss_curve):
             fh.write(f"{i},{loss!r}\n")
-
-
-def _print_report(kind: str, report) -> None:
     print(f"{kind}: final loss {report.final_loss:.6e}, recovery error "
           f"{report.recovery_error:.6e}, params {report.trainable_params}, "
           f"wall {report.wall_time_seconds:.2f}s")
 
 
 def cmd_train(args) -> int:
-    task = train_harness.gen_task(args.w1, args.w2, _build_plant(args),
+    # the plan is resolved at most once, when the plant or the adapter
+    # first reads it: plan_shapes warns about each prime dimension it splits
+    plan = functools.cache(lambda: adapter.plan_shapes(args.w1, args.w2,
+                                                       args.r))
+    task = train_harness.gen_task(args.w1, args.w2, _build_plant(args, plan),
                                   args.samples, args.noise_std, args.seed)
     config = train_harness.OptimizerConfig(
         kind=args.optimizer, learning_rate=args.lr, momentum=args.momentum,
-        beta1=args.beta1, beta2=args.beta2, eps_hat=args.eps_hat,
-        steps=args.steps, batch_size=args.batch_size, seed=args.seed)
+        eps_hat=args.eps_hat, steps=args.steps, batch_size=args.batch_size,
+        seed=args.seed)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.adapter == "compare":
-        plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-        result = train_harness.compare(task, args.lora_r, plan, args.s,
+        result = train_harness.compare(task, args.lora_r, plan(), args.s,
                                        config, alpha=args.alpha)
-        _write_report(Path(f"{prefix}.lora"), "lora", result.lora)
-        _write_report(Path(f"{prefix}.lsr"), "lsr", result.lsr)
-        _print_report("lora", result.lora)
-        _print_report("lsr", result.lsr)
+        _report(f"{prefix}.lora", "lora", result.lora)
+        _report(f"{prefix}.lsr", "lsr", result.lsr)
         print(f"param ratio (lsr/lora) {result.param_ratio!r}")
     else:
         if args.adapter == "lsr":
-            plan = adapter.plan_shapes(args.w1, args.w2, args.r)
-            layer = adapter.init(task.W, plan, args.s, alpha=args.alpha,
+            layer = adapter.init(task.W, plan(), args.s, alpha=args.alpha,
                                  seed=args.seed)
         else:
             layer = adapter.lora_init(task.W, args.r, alpha=args.alpha,
                                       seed=args.seed)
-        report = train_harness.train(layer, task, config)
-        _write_report(prefix, args.adapter, report)
-        _print_report(args.adapter, report)
+        _report(prefix, args.adapter, train_harness.train(layer, task, config))
     return EXIT_OK
 
 
@@ -285,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w2", type=int, default=48)
     p.add_argument("--plant", default="lsr-product",
                    choices=("dense", "low-rank", "kron-sum", "lsr-product"))
-    p.add_argument("--plant-rank", type=int, default=4,
-                   help="rank of the low-rank plant")
     p.add_argument("--plant-terms", type=int, default=4,
-                   help="terms of the kron-sum / lsr-product plant")
+                   help="terms of the planted update: the rank of the "
+                        "low-rank plant, the Kronecker terms of the others")
     p.add_argument("--plant-left", type=_parse_shape, metavar="RxC")
     p.add_argument("--plant-right", type=_parse_shape, metavar="RxC")
     p.add_argument("--samples", type=int, default=128)
@@ -304,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", default=c.kind, choices=("adam", "sgd"))
     p.add_argument("--lr", type=float, default=c.learning_rate)
     p.add_argument("--momentum", type=float, default=c.momentum)
-    p.add_argument("--beta1", type=float, default=c.beta1)
-    p.add_argument("--beta2", type=float, default=c.beta2)
     p.add_argument("--eps-hat", type=float, default=c.eps_hat)
     p.add_argument("--steps", type=int, default=c.steps)
     p.add_argument("--batch-size", type=int, default=c.batch_size)

@@ -61,10 +61,14 @@ def _check_mem_cap(path, rows: int, cols: int) -> None:
 
 
 def write_matrix_binary(path, M) -> None:
+    _write_binary(path, M)
+
+
+def _write_binary(path, M, opener=None) -> None:
+    # the binary format's one writer; write_separated passes _no_follow
     M = as_matrix(M, "M")
-    rows, cols = M.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, rows, cols))
+    with open(path, "wb", opener=opener) as fh:
+        fh.write(_HEADER.pack(MAGIC, VERSION, *M.shape))
         fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
 
 
@@ -146,25 +150,38 @@ def check_name(name: str) -> None:
                          f"path separator and no leading or trailing space")
 
 
+def _no_follow(path, flags: int) -> int:
+    # an opener for open(): a symbolic link at the target fails to open
+    # (where the OS has O_NOFOLLOW), rather than being written through
+    return os.open(path, flags | getattr(os, "O_NOFOLLOW", 0), 0o666)
+
+
 def write_separated(S: SeparatedMatrix, directory, name: str = "decomp") -> Path:
     """Write factor files (binary) plus a manifest; returns the manifest
     path.  Factor paths inside the manifest are relative to it.  A name the
-    reader could not read back (``check_name``) is a ``ValueError`` before
-    any file exists."""
+    reader could not read back (``check_name``), or a target file name
+    that is a symbolic link, is a ``ValueError`` before any file is
+    written; each file is opened without following a link made after that
+    check (``_no_follow``)."""
     check_name(name)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    manifest = directory / f"{name}.manifest"
+    rels = [[f"{name}_t{k:03d}_f{i}.lsrb" for i in range(len(S.stacks))]
+            for k in range(S.separation_rank)]
+    for path in (manifest, *(directory / r for term in rels for r in term)):
+        if path.is_symlink():
+            raise ValueError(f"{path} is a symbolic link, not written through")
     lines = [f"lsr-manifest {VERSION}",
              f"shape {S.shape.rows} {S.shape.cols}",
              f"terms {len(S.terms)}"]
     for k, term in enumerate(S.terms):
         lines += [f"term {k}", f"weight {term.weight!r}"]
-        for i, factor in enumerate(term.factors):
-            rel = f"{name}_t{k:03d}_f{i}.lsrb"
-            write_matrix_binary(directory / rel, factor)
+        for rel, factor in zip(rels[k], term.factors):
+            _write_binary(directory / rel, factor, _no_follow)
             lines.append(f"factor {rel}")
-    manifest = directory / f"{name}.manifest"
-    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(manifest, "w", encoding="ascii", opener=_no_follow) as fh:
+        fh.write("\n".join(lines) + "\n")
     return manifest
 
 

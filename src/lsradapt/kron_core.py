@@ -48,15 +48,15 @@ class Shape(NamedTuple):
 def _checked(a, name: str, ndim: int | None) -> np.ndarray:
     """The package's one array rule: ``a`` as a C-contiguous float64
     array of rank ``ndim`` (any rank for None) with finite entries; an
-    ``a`` numpy cannot read as one rectangular array, or a complex one
-    (whose cast to float64 would drop the imaginary part), is refused by
-    name."""
+    ``a`` numpy cannot read as one rectangular array of real numbers (an
+    entry with no float value included), or a complex one (whose cast to
+    float64 would drop the imaginary part), is refused by name."""
     try:
         m = np.asarray(a)
         is_complex = m.dtype.kind == "c"
         if not is_complex:
             m = np.asarray(m, dtype=np.float64, order="C")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a rectangular float64 array: "
                          f"{exc}") from exc
     if is_complex:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,17 @@ import lsradapt
 import lsradapt.lsr_repr
 import lsradapt.train_harness
 from lsradapt import (
+    LowRankPlant,
+    LsrProductPlant,
     OptimizerConfig,
     PrecisionBudget,
     check_precision,
     condition_number,
+    gen_task,
+    init,
     kron,
     materialize,
+    plan_shapes,
 )
 from lsradapt.cli import build_parser, main
 from lsradapt.io import read_separated, write_matrix_binary, write_matrix_text
@@ -105,6 +111,24 @@ class TestApprox:
             assert code == 0
             errs.append(float(grab(out, "frobenius error")))
         assert errs == sorted(errs, reverse=True)
+
+    @pytest.mark.parametrize("link", ["decomp_t000_f0.lsrb",
+                                      "decomp.manifest"])
+    def test_symlinked_output_is_usage_error(self, tmp_path, capsys, link):
+        src = tmp_path / "m.txt"
+        write_matrix_text(src, np.eye(4))
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"not a factor\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / link).symlink_to(victim)
+        code, out = run(capsys, "approx", str(src), "--left", "2x2",
+                        "--right", "2x2", "--terms", "1",
+                        "--out", str(out_dir))
+        assert code == 2
+        assert f"{link} is a symbolic link" in out
+        assert victim.read_bytes() == b"not a factor\n"
+        assert [p.name for p in out_dir.iterdir()] == [link]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _ = run(capsys, "approx", str(tmp_path / "nope.txt"),
@@ -453,6 +477,62 @@ class TestTrain:
                         "--plant-terms", terms, "--out", str(tmp_path / "run"))
         assert code == 2
         assert "plant terms" in out
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, plant, config, alpha", [
+        (["--optimizer", "sgd", "--momentum", "0.5"], None,
+         dict(kind="sgd", momentum=0.5), 1.0),
+        (["--alpha", "0.25"], None, {}, 0.25),
+        (["--plant", "low-rank", "--plant-terms", "3"], LowRankPlant(3), {},
+         1.0),
+    ], ids=["momentum", "alpha", "low-rank-plant-terms"])
+    def test_kept_option_reaches_the_run(self, tmp_path, capsys, flags,
+                                         plant, config, alpha):
+        common = ["--w1", "12", "--w2", "12", "--samples", "16", "--s", "2",
+                  "--steps", "20", "--batch-size", "8", "--seed", "3"]
+        for name, extra in (("base", []), ("run", flags)):
+            code, _ = run(capsys, "train", *common, *extra,
+                          "--out", str(tmp_path / name))
+            assert code == 0
+        plan = plan_shapes(12, 12, 4)
+        task = gen_task(12, 12, plant or LsrProductPlant(4, plan), 16, 0.0,
+                        seed=3)
+        report = lsradapt.train_harness.train(
+            init(task.W, plan, 2, alpha=alpha, seed=3), task,
+            OptimizerConfig(**config, steps=20, batch_size=8, seed=3))
+        fields = dict(line.split("=", 1) for line in
+                      (tmp_path / "run.report").read_text().splitlines())
+        assert fields["final_loss"] == repr(report.final_loss)
+        assert fields["recovery_error"] == repr(report.recovery_error)
+        assert (tmp_path / "run.curve.csv").read_text().splitlines()[1:] \
+            == [f"{i},{v!r}" for i, v in enumerate(report.loss_curve)]
+        assert (tmp_path / "run.report").read_bytes() \
+            != (tmp_path / "base.report").read_bytes()
+
+    @pytest.mark.parametrize("adapter, plant, n", [
+        ("lsr", "lsr-product", 1), ("compare", "lsr-product", 1),
+        ("lora", "dense", 0)])
+    def test_prime_split_warns_once_per_command(self, tmp_path, capsys,
+                                                adapter, plant, n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(capsys, "train", "--w1", "47", "--w2", "12",
+                          "--r", "2", "--s", "2", "--lora-r", "2",
+                          "--samples", "8", "--steps", "2", "--batch-size",
+                          "4", "--adapter", adapter, "--plant", plant,
+                          "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert [str(w.message) for w in caught] \
+            == ["w1=47 splits as 47x1, so its Kronecker factors do not "
+                "factor"] * n
+
+    @pytest.mark.parametrize("flag", [["--beta1", "0.5"], ["--beta2", "0.9"],
+                                      ["--plant-rank", "3"]],
+                             ids=["beta1", "beta2", "plant-rank"])
+    def test_removed_option_is_usage_error(self, tmp_path, capsys, flag):
+        code = main(["train", *flag, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

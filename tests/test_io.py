@@ -1,6 +1,8 @@
 """File format round trips and malformed-input handling."""
 
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +209,42 @@ class TestManifest:
         path.write_text("not a manifest\n")
         with pytest.raises(ValueError):
             read_separated(path)
+
+    @pytest.mark.parametrize("link, inside", [
+        ("probe_t001_f0.lsrb", False), ("probe.manifest", False),
+        ("probe_t000_f1.lsrb", True)], ids=["factor", "manifest", "inside"])
+    def test_symlinked_target_is_refused_before_any_write(self, tmp_path,
+                                                          link, inside):
+        out = tmp_path / "out"
+        out.mkdir()
+        victim = (out if inside else tmp_path) / "victim.txt"
+        victim.write_bytes(b"not a factor\n")
+        (out / link).symlink_to(victim)
+        S = SeparatedMatrix(Shape(4, 4), *stacked(
+            [(1.0, [np.eye(2), np.ones((2, 2))])] * 2))
+        with pytest.raises(ValueError,
+                           match=f"{link} is a symbolic link, not written"):
+            write_separated(S, out, name="probe")
+        assert victim.read_bytes() == b"not a factor\n"
+        assert sorted(p.name for p in out.iterdir()) \
+            == sorted({link, victim.name} if inside else {link})
+
+    @pytest.mark.skipif(not hasattr(os, "O_NOFOLLOW"),
+                        reason="the OS has no O_NOFOLLOW")
+    def test_link_made_after_the_check_is_not_followed(self, tmp_path,
+                                                       monkeypatch):
+        # a link the check does not see (as if made after it) fails to open
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"not a factor\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "probe_t000_f1.lsrb").symlink_to(victim)
+        monkeypatch.setattr(Path, "is_symlink", lambda self: False)
+        S = SeparatedMatrix(Shape(4, 4),
+                            *stacked([(1.0, [np.eye(2), np.ones((2, 2))])]))
+        with pytest.raises(OSError):
+            write_separated(S, out, name="probe")
+        assert victim.read_bytes() == b"not a factor\n"
 
 
 def _manifest_lines(tmp_path):

@@ -313,8 +313,9 @@ class TestBatchRule:
         (lambda c: [[1.0] * c, [1.0]], "x is not a rectangular float64"),
         (lambda c: np.full(c, 1 + 2j), "x is complex"),
         (lambda c: [[1j] * c], "x is complex"),
+        (lambda c: np.array([object()] * c), "x is not a rectangular float64"),
     ], ids=["short", "wide", "0-d", "3-D", "nan", "inf", "ragged", "complex",
-            "complex-list"])
+            "complex-list", "object"])
     def test_refusals_name_x(self, name, bad, match):
         fn, K = _linear_maps(np.random.default_rng(7))[name]
         c = K.shape[1]
@@ -441,4 +442,14 @@ class TestChecked:
     def test_complex_input_is_refused_by_name(self, bad):
         with pytest.raises(ValueError,
                            match="a is complex, not a real float64 array"):
+            _checked(bad, "a", None)
+
+    # numpy reads these as object arrays, whose float64 cast raises
+    # TypeError for an entry with no float value
+    @pytest.mark.parametrize("bad", [
+        [[object()]], np.array([object(), 1.0]), [[{}, 2.0]]],
+        ids=["object", "object-array", "dict"])
+    def test_entry_without_a_float_value_is_refused_by_name(self, bad):
+        with pytest.raises(ValueError,
+                           match="a is not a rectangular float64 array"):
             _checked(bad, "a", None)
