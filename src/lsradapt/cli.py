@@ -230,8 +230,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fault = verify.FAULT_GRADIENT_SIGN if args.inject_fault else None
-    results = verify.run_checks(quick=args.quick, fault=fault)
+    results = verify.run_checks()
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:<{width}}  {r.detail}")
@@ -316,10 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced trial counts, skips the training smoke test")
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -23,8 +23,12 @@ def rng_stream(seed: int, *path) -> np.random.Generator:
     """Counter-based generator for the substream named by ``path``.
 
     Streams with distinct paths are statistically independent; the same
-    (seed, path) always yields the same sequence.
+    (seed, path) always yields the same sequence.  A negative seed is
+    refused with a ``ValueError`` that names it.
     """
-    ss = np.random.SeedSequence(entropy=int(seed),
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    ss = np.random.SeedSequence(entropy=seed,
                                 spawn_key=tuple(_key_part(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))

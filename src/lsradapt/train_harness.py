@@ -41,10 +41,10 @@ _RECOVERY_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or gradient became non-finite."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, quantity: str = "loss"):
+        super().__init__(f"non-finite {quantity} at step {step}")
         self.step = step
 
 
@@ -277,7 +277,11 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     indices of ``_batches``: a wrap-around over permutations of the
     samples from the ``config.seed`` ``"shuffle"`` stream, one per epoch.
     The loss curve records the full-dataset value of the same quantity,
-    at step 0 and roughly every steps/100 steps thereafter.
+    at step 0 and roughly every steps/100 steps thereafter.  A step whose
+    flat gradient has a non-finite sum of squares, or a logged loss that
+    is not finite, raises ``DivergenceError`` with that step; numpy's
+    overflow and invalid-value warnings are off for the run, since these
+    checks report the failure.
     """
     w1, w2 = layer.W.shape
     if layer.W.shape != task.W.shape:
@@ -296,26 +300,30 @@ def train(layer, task: SyntheticTask, config: OptimizerConfig) -> TrainReport:
     log_every = max(1, config.steps // 100)
 
     t0 = time.perf_counter()
-    A, B = layer.update_factors()
-    loss_curve = [_dataset_loss(layer, inputs, targets, (A, B))]
-    for step in range(config.steps):
-        idx = next(batches)
-        X = inputs[idx]
-        U = adapter._apply_b(B, X)
-        resid = adapter._low_rank_forward(layer, X, A, U) - targets[idx]
-        if not math.isfinite(float(np.vdot(resid, resid))):
-            raise DivergenceError(step)
-        # gradients are linear in the residual, so scale it, not them
-        dA, dB, _ = adapter._low_rank_backward(
-            layer, X, (1.0 / len(idx)) * resid, A, B, U)
-        layer._gradients(dA, dB, grads)
-        opt.step(layer.flat, grad)
+    # a diverging run overflows; the checks below report it by step
+    with np.errstate(over="ignore", invalid="ignore"):
         A, B = layer.update_factors()
-        if (step + 1) % log_every == 0 or step == config.steps - 1:
-            loss = _dataset_loss(layer, inputs, targets, (A, B))
-            if not math.isfinite(loss):
-                raise DivergenceError(step)
-            loss_curve.append(loss)
+        loss_curve = [_dataset_loss(layer, inputs, targets, (A, B))]
+        for step in range(config.steps):
+            idx = next(batches)
+            X = inputs[idx]
+            U = adapter._apply_b(B, X)
+            resid = adapter._low_rank_forward(layer, X, A, U) - targets[idx]
+            # gradients are linear in the residual, so scale it, not them
+            dA, dB, _ = adapter._low_rank_backward(
+                layer, X, (1.0 / len(idx)) * resid, A, B, U)
+            layer._gradients(dA, dB, grads)
+            # a non-finite residual makes the gradient non-finite, and a
+            # gradient whose square overflows would stall Adam (v = inf)
+            if not math.isfinite(float(np.vdot(grad, grad))):
+                raise DivergenceError(step, "gradient")
+            opt.step(layer.flat, grad)
+            A, B = layer.update_factors()
+            if (step + 1) % log_every == 0 or step == config.steps - 1:
+                loss = _dataset_loss(layer, inputs, targets, (A, B))
+                if not math.isfinite(loss):
+                    raise DivergenceError(step)
+                loss_curve.append(loss)
     wall = time.perf_counter() - t0
     return TrainReport(loss_curve=loss_curve, final_loss=loss_curve[-1],
                        recovery_error=recovery_error(layer, task),

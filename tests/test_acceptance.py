@@ -250,9 +250,10 @@ def test_criterion_09_budget_matched_compare():
            f"~ 0.2917")
 
 
-def test_criterion_10_self_verification():
+def test_criterion_10_self_verification(inject_gradient_sign_fault):
     ok_clean = main(["verify"]) == 0
-    ok_fault = main(["verify", "--quick", "--inject-fault"]) == 1
+    inject_gradient_sign_fault()
+    ok_fault = main(["verify"]) == 1
     report(10, ok_clean and ok_fault,
            "verify exits 0 on a clean build and 1 under the injected "
            "gradient fault")

@@ -509,6 +509,16 @@ class TestBatchedKernel:
             assert rel_err(row, ref) <= 1e-10
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_forward_rows_match_vector_calls(self, shape):
+        # to rounding, not bit for bit: the single-vector base product is
+        # a GEMV, which rounds differently from the batch GEMM
+        g = np.random.default_rng(86)
+        layer = random_layer(g, *shape, alpha=0.9)
+        X = g.normal(size=(7, shape[1]))
+        for row, x in zip(forward(layer, X), X):
+            assert rel_err(row, forward(layer, x)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_backward_is_sum_of_vector_calls(self, shape):
         g = np.random.default_rng(82)
         layer = random_layer(g, *shape, alpha=0.8)

@@ -356,13 +356,34 @@ class TestTrain:
         assert (tmp_path / "a.curve.csv").read_bytes() \
             == (tmp_path / "b.curve.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         code, _ = run(capsys, "train", "--w1", "12", "--w2", "12",
                       "--samples", "8", "--steps", "100",
                       "--optimizer", "sgd", "--lr", "1e12", "--s", "2",
                       "--out", str(tmp_path / "run"))
         assert code == 5
+
+    @pytest.mark.parametrize("option", [("--lr", "1e308"),
+                                        ("--lr", "1e150"),
+                                        ("--alpha", "1e300")],
+                             ids=["lr-1e308", "lr-1e150", "alpha-1e300"])
+    def test_overflow_is_divergence(self, tmp_path, capsys, option):
+        # each overflows inside train, which reports it by step, not by a
+        # numpy warning (an error under this suite's warning filter)
+        code, out = run(capsys, "train", "--w1", "8", "--w2", "8", "--r", "2",
+                        "--s", "2", "--steps", "3", *option,
+                        "--out", str(tmp_path / "run"))
+        assert code == 5
+        assert re.fullmatch(r"error: non-finite (loss|gradient) at step \d+\n",
+                            out)
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code, out = run(capsys, "train", "--w1", "8", "--w2", "8", "--r", "2",
+                        "--s", "2", "--steps", "3", "--seed", "-1",
+                        "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "seed must be >= 0, got -1" in out
+        assert not list(tmp_path.iterdir())
 
     def test_compare_mode(self, tmp_path, capsys):
         code, out = run(capsys, "train", "--w1", "12", "--w2", "12",
@@ -595,6 +616,12 @@ class TestBench:
         assert code == 2
         assert "argument --repeats" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out = run(capsys, "bench", "--w1", "8", "--w2", "8", "--r", "2",
+                        "--s", "2", "--seed", "-3")
+        assert code == 2
+        assert "seed must be >= 0, got -3" in out
+
     def test_degenerate_dims(self, capsys):
         code, out = run(capsys, "bench", "--w1", "1", "--w2", "1",
                         "--r", "1", "--s", "1", "--repeats", "2")
@@ -603,16 +630,22 @@ class TestBench:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code, out = run(capsys, "verify", "--quick")
+    def test_full_suite_passes(self, capsys):
+        code, out = run(capsys, "verify")
         assert code == 0
         assert "FAIL" not in out
 
-    def test_injected_fault_detected(self, capsys):
-        code, out = run(capsys, "verify", "--quick", "--inject-fault")
+    def test_injected_fault_detected(self, capsys, inject_gradient_sign_fault):
+        inject_gradient_sign_fault()
+        code, out = run(capsys, "verify")
         assert code == 1
         assert any(line.startswith("FAIL") and "gradient-check" in line
                    for line in out.splitlines())
+
+    @pytest.mark.parametrize("option", ["--quick", "--inject-fault"])
+    def test_takes_no_options(self, capsys, option):
+        assert main(["verify", option]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -29,6 +29,7 @@ from lsradapt import (
 )
 
 from lsradapt import train_harness
+from lsradapt.rng import rng_stream
 from lsradapt.train_harness import recovery_error
 
 from oracles import (
@@ -46,6 +47,12 @@ class TestGenTask:
         b = gen_task(8, 6, DensePlant(), 10, 0.1, seed=3)
         for name in ("W", "delta_star", "inputs", "targets"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_negative_seed_refused_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            rng_stream(-1, "task-base")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+            gen_task(8, 6, DensePlant(), 4, 0.0, seed=-2)
 
     def test_empty_sample_list_is_valid(self):
         task = gen_task(8, 6, DensePlant(), 0, 0.0, seed=1)
@@ -197,7 +204,6 @@ class TestTrain:
         for later, earlier in zip(curve[1:], curve[:-1]):
             assert later <= earlier + 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step(self):
         plan, task = small_task()
         layer = init(task.W, plan, 2, alpha=1.0, seed=2)
@@ -206,6 +212,18 @@ class TestTrain:
         with pytest.raises(DivergenceError) as err:
             train(layer, task, cfg)
         assert err.value.step >= 0
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_overflowed_gradient_is_divergence(self, kind):
+        # at alpha 1e300 the first B2 gradient (~1e299) is finite but its
+        # square is not: Adam's second moment would turn inf, every update 0
+        plan, task = small_task()
+        layer = init(task.W, plan, 2, alpha=1e300, seed=2)
+        cfg = OptimizerConfig(kind=kind, steps=5, batch_size=8, seed=2)
+        with pytest.raises(DivergenceError,
+                           match="non-finite gradient at step 0") as err:
+            train(layer, task, cfg)
+        assert err.value.step == 0
 
     def test_planted_recovery(self):
         plan, task = small_task(seed=13, n=64)
