@@ -10,8 +10,6 @@ from .kron_core import (
     as_matrix,
     as_vector,
     kron,
-    unvec,
-    vec,
 )
 from .lsr_repr import (
     KronTerm,

@@ -14,18 +14,19 @@ Conventions fixed here and relied on everywhere else:
   products are the matrix's shape; ``_check_split`` writes that rule
   once, for ``lsr_repr.rearrange``, the Kronecker-sum plant and the
   adapter's ``ShapePlan``;
-* every internal kernel is ROW-MAJOR: (P (x) Q) x is P X Q^T flattened,
-  for X = x.reshape(P.cols, Q.cols); only the public ``vec``/``unvec``
-  stack COLUMN-MAJOR, under which ``(P (x) Q) vec(X) = vec(Q X P^T)``.
+* every map, public or private, is ROW-MAJOR: (P (x) Q) x is P X Q^T
+  flattened, for X = x.reshape(P.cols, Q.cols), and the rearrangement
+  takes P (x) Q to the outer product of P and Q flattened row-major.
 
 ``_rearrange`` is the Van Loan-Pitsianis map R[(i, j), (a, b)] =
-D[(i, a), (j, b)] beneath the dense stacked Kronecker sums sum_k P[k] (x)
-Q[k] in the package: ``_dense_kron_sum`` forms one and ``_project`` is its
-adjoint (together they are all the adapter needs: it forms its two thin
-factors and projects their dense gradients).  ``_kron_sum`` applies one
-to a batch without forming it, for ``lsr_repr.apply`` and ``apply_kron2``:
-one batched matmul against the per-term transposed Q stack, then one
-against P side by side, with no rearrangement copy between them.
+D[(i, a), (j, b)] beneath ``lsr_repr.rearrange`` and the dense stacked
+Kronecker sums sum_k P[k] (x) Q[k] in the package: ``_dense_kron_sum``
+forms one and ``_project`` is its adjoint (together they are all the
+adapter needs: it forms its two thin factors and projects their dense
+gradients).  ``_kron_sum`` applies one to a batch without forming it,
+for ``lsr_repr.apply`` and ``apply_kron2``: one batched matmul against
+the per-term transposed Q stack, then one against P side by side, with
+no rearrangement copy between them.
 """
 
 import math
@@ -117,22 +118,6 @@ def kron(U, V) -> Matrix:
     if U.shape[0] * V.shape[0] > _MAX_INDEX or U.shape[1] * V.shape[1] > _MAX_INDEX:
         raise ValueError("kron result exceeds platform index range")
     return np.kron(U, V)
-
-
-def vec(M) -> Vector:
-    """Column-major stacking: columns of M top-to-bottom, left-to-right."""
-    return as_matrix(M, "M").reshape(-1, order="F").copy()
-
-
-def unvec(x, shape: Shape) -> Matrix:
-    """Inverse of ``vec`` for the given target shape."""
-    x = as_vector(x, "x")
-    rows, cols = int(shape[0]), int(shape[1])
-    if rows < 1 or cols < 1:
-        raise ValueError(f"unvec target shape must be positive, got {shape}")
-    if x.size != rows * cols:
-        raise ValueError(f"unvec length mismatch: {x.size} != {rows}*{cols}")
-    return np.ascontiguousarray(x.reshape((rows, cols), order="F"))
 
 
 def _rearrange(D: np.ndarray, m1: int, c1: int, m2: int, c2: int) -> Matrix:

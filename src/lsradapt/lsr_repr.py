@@ -6,10 +6,11 @@ construction and evaluation, this module provides:
 
 * conditioning diagnostics (``condition_number``, ``check_precision``,
   and ``diagnose``, which takes both from one materialization),
-* the block rearrangement ``rearrange`` under which every Kronecker
-  product becomes a rank-1 matrix, so that a truncated SVD of the
-  rearranged matrix yields the Frobenius-optimal sum-of-Kronecker
-  approximation with fixed two-factor shapes (``nearest_kron_sum``),
+* the row-major block rearrangement ``rearrange`` under which every
+  Kronecker product P (x) Q becomes the rank-1 outer product of P and Q
+  flattened row-major, so that a truncated SVD of the rearranged matrix
+  yields the Frobenius-optimal sum-of-Kronecker approximation with fixed
+  two-factor shapes (``nearest_kron_sum``),
 * that truncated SVD (``truncated_svd``): a block subspace iteration
   that returns its result only when it certifies it, with an exact SVD
   as the fallback.
@@ -236,18 +237,19 @@ def normalize_terms(S: SeparatedMatrix) -> SeparatedMatrix:
 
 
 def rearrange(M, left: Shape, right: Shape) -> Matrix:
-    """Block rearrangement R(M) with R(P (x) Q) = vec(P) vec(Q)^T.
+    """Block rearrangement R(M) with R(P (x) Q) the outer product of
+    P.ravel() and Q.ravel(), a C-contiguous (left.rows * left.cols) x
+    (right.rows * right.cols) array.
 
-    Row j*left.rows + i of the result is vec(block(i, j))^T, where
-    block(i, j) is the (right.rows x right.cols) block of M at block
-    position (i, j).  This column-major map is the row-major
-    ``kron_core._rearrange`` of M^T.
+    Row i*left.cols + j of the result is block(i, j) flattened row-major,
+    where block(i, j) is the (right.rows x right.cols) block of M at block
+    position (i, j): the checked ``kron_core._rearrange``.
     """
     M = as_matrix(M, "M")
     lr, lc = int(left[0]), int(left[1])
     rr, rc = int(right[0]), int(right[1])
     _check_split((lr, lc), (rr, rc), M.shape, "factor shape")
-    return np.ascontiguousarray(_rearrange(M.T, lc, lr, rc, rr))
+    return np.ascontiguousarray(_rearrange(M, lr, lc, rr, rc))
 
 
 def truncated_svd(M, k: int) -> tuple[Matrix, Vector, Matrix]:
@@ -382,12 +384,11 @@ def nearest_kron_sum(M, left: Shape, right: Shape, s: int) -> SeparatedMatrix:
     U, sigma, V = truncated_svd(R, s)
     cutoff = sigma[0] * (max(R.shape) * np.finfo(np.float64).eps)
     kept = int(np.count_nonzero(sigma > cutoff))
-    # column t of U is vec(P_t): P_t^T flattened row-major (V likewise)
+    # column t of U is P_t flattened row-major (V likewise for Q_t)
+    P, Q = U[:, :kept].T, V[:, :kept].T
+    pivot = P[np.arange(kept), np.argmax(np.abs(P), axis=1)]
+    sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None]
     lr, lc, rr, rc = map(int, (*left, *right))
-    P = U[:, :kept].T.reshape(kept, lc, lr).transpose(0, 2, 1)
-    Q = V[:, :kept].T.reshape(kept, rc, rr).transpose(0, 2, 1)
-    flat = P.reshape(kept, lr * lc)
-    pivot = flat[np.arange(kept), np.argmax(np.abs(flat), axis=1)]
-    sign = np.where(pivot < 0.0, -1.0, 1.0)[:, None, None]
-    P, Q = sign * P, sign * Q
-    return SeparatedMatrix(M.shape, sigma[:kept], (P, Q))
+    return SeparatedMatrix(M.shape, sigma[:kept],
+                           ((sign * P).reshape(kept, lr, lc),
+                            (sign * Q).reshape(kept, rr, rc)))

@@ -38,6 +38,9 @@ from .rng import rng_stream
 
 # rows of the update formed at a time by recovery_error
 _RECOVERY_ROWS = 64
+# Adam's moment decay rates
+_BETA1 = 0.9
+_BETA2 = 0.999
 
 
 class DivergenceError(RuntimeError):
@@ -116,8 +119,6 @@ class OptimizerConfig:
     kind: str = "adam"
     learning_rate: float = 1e-2
     momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps_hat: float = 1e-8
     steps: int = 1000
     batch_size: int = 32
@@ -132,8 +133,6 @@ class OptimizerConfig:
             raise ValueError("eps_hat must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1/beta2 must be in (0, 1)")
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
 
@@ -242,13 +241,13 @@ class _Optimizer:
             self.velocity += grad
             flat -= c.learning_rate * self.velocity
         else:
-            bc1 = 1.0 - c.beta1**self.t
-            bc2 = 1.0 - c.beta2**self.t
+            bc1 = 1.0 - _BETA1**self.t
+            bc2 = 1.0 - _BETA2**self.t
             m, v = self.m, self.v
-            m *= c.beta1
-            m += (1.0 - c.beta1) * grad
-            v *= c.beta2
-            v += (1.0 - c.beta2) * grad ** 2
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad ** 2
             flat -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps_hat)
 
 

@@ -17,8 +17,6 @@ from .kron_core import (
     apply_kron2,
     apply_kron2_transpose,
     kron,
-    unvec,
-    vec,
 )
 from .rng import rng_stream
 
@@ -63,19 +61,6 @@ def check_kron_identities(trials: int) -> CheckResult:
     ok = worst <= 1e-12
     return CheckResult("kron-identities", ok,
                        f"{trials} trials, worst rel err {worst:.2e}")
-
-
-def check_vec_roundtrip(trials: int) -> CheckResult:
-    g = rng_stream(_SEED, "vec-roundtrip")
-    for _ in range(trials):
-        rows, cols = g.integers(1, 17, size=2)
-        M = g.normal(size=(rows, cols))
-        back = unvec(vec(M), Shape(rows, cols))
-        if not np.array_equal(back, M):
-            return CheckResult("vec-unvec-roundtrip", False,
-                               f"not bit-exact for {rows}x{cols}")
-    return CheckResult("vec-unvec-roundtrip", True,
-                       f"{trials} shapes, bit-exact")
 
 
 def check_matrix_free_apply(trials: int) -> CheckResult:
@@ -266,13 +251,12 @@ def check_planted_recovery() -> CheckResult:
 
 
 def run_checks() -> list[CheckResult]:
-    """Run the nine checks and return their results in order."""
+    """Run the eight checks and return their results in order."""
     with warnings.catch_warnings():
         # the random layer shapes include prime dimensions on purpose
         warnings.filterwarnings("ignore", r"w[12]=\d+ splits as", UserWarning)
         return [
             check_kron_identities(200),
-            check_vec_roundtrip(50),
             check_matrix_free_apply(100),
             check_forward_equivalence(100),
             check_optimal_approx(),

@@ -261,10 +261,10 @@ def reference_train(layer, task, config):
     """Loss curve of the training loop written plainly, with ``layer``
     trained in place: per minibatch one public ``layer.forward`` and one
     ``layer.backward`` call (each forms the factors again), then SGD with
-    momentum or Adam array by array over ``layer.params``; every dataset
-    loss is one public forward over all inputs.  Batches come from
-    ``reference_batches``.  The loss is logged at step 0, every
-    max(1, steps // 100) steps and after the last step."""
+    momentum or Adam (beta 0.9/0.999) array by array over
+    ``layer.params``; every dataset loss is one public forward over all
+    inputs.  Batches come from ``reference_batches``.  The loss is logged
+    at step 0, every max(1, steps // 100) steps and after the last step."""
     params = layer.params
     state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
     n = len(task.inputs)
@@ -288,12 +288,12 @@ def reference_train(layer, task, config):
                 m += grads[k]
                 p -= config.learning_rate * m
             else:
-                m *= config.beta1
-                m += (1.0 - config.beta1) * grads[k]
-                v *= config.beta2
-                v += (1.0 - config.beta2) * grads[k] ** 2
-                p -= config.learning_rate * (m / (1.0 - config.beta1**t)) / (
-                    np.sqrt(v / (1.0 - config.beta2**t)) + config.eps_hat)
+                m *= 0.9
+                m += (1.0 - 0.9) * grads[k]
+                v *= 0.999
+                v += (1.0 - 0.999) * grads[k] ** 2
+                p -= config.learning_rate * (m / (1.0 - 0.9**t)) / (
+                    np.sqrt(v / (1.0 - 0.999**t)) + config.eps_hat)
         if t % log_every == 0 or t == config.steps:
             curve.append(dataset_loss())
     return curve

@@ -22,8 +22,6 @@ from lsradapt import (
     nearest_kron_sum,
     plan_shapes,
     rearrange,
-    unvec,
-    vec,
 )
 from lsradapt.kron_core import (
     _as_batch,
@@ -67,30 +65,6 @@ class TestKron:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             kron([[np.nan]], [[1.0]])
-
-
-class TestVecUnvec:
-    def test_column_major(self):
-        assert np.array_equal(vec([[1.0, 2.0], [3.0, 4.0]]), [1, 3, 2, 4])
-
-    def test_unvec_inverse(self):
-        assert np.array_equal(unvec([1.0, 3.0, 2.0, 4.0], Shape(2, 2)),
-                              [[1, 2], [3, 4]])
-
-    def test_row_matrix(self):
-        row = [[5.0, 6.0, 7.0]]
-        assert np.array_equal(vec(row), [5, 6, 7])
-
-    def test_roundtrip_bit_exact(self):
-        g = np.random.default_rng(5)
-        for _ in range(20):
-            rows, cols = g.integers(1, 9, size=2)
-            M = g.normal(size=(rows, cols))
-            assert np.array_equal(unvec(vec(M), Shape(rows, cols)), M)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            unvec([1.0, 2.0, 3.0], Shape(2, 2))
 
 
 class TestApplyKron2:

@@ -28,18 +28,18 @@ from lsradapt import (
     normalize_terms,
     rearrange,
     truncated_svd,
-    vec,
 )
 from lsradapt.io import VERSION, read_separated, write_matrix_binary
-from lsradapt.kron_core import (
-    _dense_kron_sum,
-    _kron_sum,
-    _rearrange,
-    _side_by_side,
-)
+from lsradapt.kron_core import _dense_kron_sum, _kron_sum, _side_by_side
 from lsradapt.lsr_repr import NumericalError
 
-from oracles import jacobi_singular_values, naive_kron, rel_err, stacked
+from oracles import (
+    jacobi_singular_values,
+    naive_kron,
+    naive_rearrange,
+    rel_err,
+    stacked,
+)
 
 MU_16BIT = 2.0**-11
 
@@ -544,7 +544,7 @@ class TestRearrange:
         P = g.normal(size=(2, 2))
         Q = g.normal(size=(3, 2))
         R = rearrange(kron(P, Q), Shape(2, 2), Shape(3, 2))
-        assert np.array_equal(R, np.outer(vec(P), vec(Q)))
+        assert np.array_equal(R, np.outer(P.ravel(), Q.ravel()))
 
     def test_zero_matrix(self):
         R = rearrange(np.zeros((6, 4)), Shape(2, 2), Shape(3, 2))
@@ -573,11 +573,16 @@ class TestRearrange:
                         ((7, 1), (13, 1)), ((13, 1), (1, 7))],
         ids=["rect", "square", "1xn", "prime7x13", "prime13x7"])
     def test_is_shared_map_of_the_transpose(self, left, right):
+        # the loop oracle's row-major map; of M^T with both splits
+        # transposed, the same entries with each index pair swapped
         (lr, lc), (rr, rc) = left, right
         M = np.random.default_rng(lr + lc + rr + rc).normal(
             size=(lr * rr, lc * rc))
-        assert np.array_equal(rearrange(M, Shape(*left), Shape(*right)),
-                              _rearrange(M.T, lc, lr, rc, rr))
+        R = rearrange(M, Shape(*left), Shape(*right))
+        assert np.array_equal(R, naive_rearrange(M, lr, lc, rr, rc))
+        swapped = R.reshape(lr, lc, rr, rc).transpose(1, 0, 3, 2)
+        assert np.array_equal(rearrange(M.T, Shape(lc, lr), Shape(rc, rr)),
+                              swapped.reshape(lc * lr, rc * rr))
 
 
 def planted_spectrum(rows, cols, sigma, seed):
@@ -773,6 +778,20 @@ class TestNearestKronSum:
         S = nearest_kron_sum(M, Shape(3, 2), Shape(2, 3), 1)
         assert len(S.terms) == 1
         assert rel_err(materialize(S), M) <= 1e-12
+
+    def test_planted_term_factors_unequal_shapes(self):
+        # non-square factors of different shapes: a factor read with its
+        # rows and columns swapped cannot match P or Q
+        g = np.random.default_rng(43)
+        P = g.normal(size=(3, 5))
+        Q = g.normal(size=(4, 2))
+        S = nearest_kron_sum(kron(P, Q), Shape(3, 5), Shape(4, 2), 1)
+        (got_P,), (got_Q,) = S.stacks
+        sign = np.sign(P.flat[np.argmax(np.abs(P))])
+        assert np.max(np.abs(got_P - sign * P / np.linalg.norm(P))) <= 1e-12
+        assert np.max(np.abs(got_Q - sign * Q / np.linalg.norm(Q))) <= 1e-12
+        want = np.linalg.norm(P) * np.linalg.norm(Q)
+        assert abs(S.weights[0] - want) <= 1e-12 * want
 
     def test_planted_three_terms(self):
         g = np.random.default_rng(38)

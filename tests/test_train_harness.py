@@ -281,8 +281,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("change", [
         dict(kind="lbfgs"), dict(learning_rate=0.0), dict(momentum=1.0),
-        dict(beta1=1.0), dict(beta2=0.0), dict(steps=-1),
-        dict(batch_size=0),
+        dict(steps=-1), dict(batch_size=0),
         dict(learning_rate=np.inf), dict(learning_rate=np.nan),
         dict(eps_hat=0.0), dict(eps_hat=-1.0), dict(eps_hat=np.nan),
         dict(eps_hat=np.inf),
